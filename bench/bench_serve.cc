@@ -7,17 +7,23 @@
 // it runs out of hardware threads (the binary prints the machine's
 // concurrency so a 1-core CI box's flat curve reads as what it is).
 //
+// Each producer hands its session's events to the server as spans (the
+// replay's contiguous runs), the same hand-off leaps-serve uses.
+//
 // Knobs: LEAPS_SERVE_SESSIONS (default 8), LEAPS_SERVE_EVENTS per session
 // (default 6000), LEAPS_EVENTS (training-log size), LEAPS_FAST=1.
 // LEAPS_BENCH_JSON=<path> additionally writes the measurements as a JSON
-// snapshot (the format of the checked-in BENCH_serve.json baseline). LEAPS_BENCH_BASELINE=<path> compares this
-// box's core count against the checked-in snapshot before writing:
-// mismatches are annotated in the JSON, or refused outright with
-// LEAPS_BENCH_STRICT=1 (speedup columns are incomparable across core
-// counts).
+// snapshot (the format of the checked-in BENCH_serve.json baseline).
+// LEAPS_BENCH_BASELINE=<path> compares this box's core count against the
+// checked-in snapshot before writing: mismatches are annotated in the
+// JSON, or refused outright with LEAPS_BENCH_STRICT=1 (speedup columns are
+// incomparable across core counts). Under LEAPS_BENCH_STRICT=1 a probe
+// whose measurement is unavailable (warm restart, drift) also exits 1
+// before any JSON is written.
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -25,6 +31,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -78,13 +85,11 @@ Workload build_workload(std::size_t train_events) {
 }
 
 double run_once(const Workload& w, std::size_t workers,
-                std::size_t sessions, std::size_t events_per_session,
-                std::size_t coalesce) {
+                std::size_t sessions, std::size_t events_per_session) {
   serve::ServerOptions options;
   options.workers = workers;
   options.queue_capacity = 4096;
   options.batch_size = 128;
-  options.coalesce = coalesce;
   serve::DetectionServer server(options);
   server.registry().add("bench", w.detector);
 
@@ -101,9 +106,15 @@ double run_once(const Workload& w, std::size_t workers,
   producers.reserve(sessions);
   for (std::size_t s = 0; s < sessions; ++s) {
     producers.emplace_back([&, s] {
-      const auto& events = w.replay.events;
-      for (std::size_t i = 0; i < events_per_session; ++i) {
-        server.submit(handles[s], events[i % events.size()]);
+      // events_per_session events cycling over the replay, one span per
+      // contiguous run.
+      const std::span<const trace::PartitionedEvent> events(w.replay.events);
+      for (std::size_t sent = 0; sent < events_per_session;) {
+        const std::size_t pos = sent % events.size();
+        const std::size_t n =
+            std::min(events.size() - pos, events_per_session - sent);
+        server.submit(handles[s], events.subspan(pos, n));
+        sent += n;
       }
     });
   }
@@ -220,18 +231,25 @@ struct DriftLatency {
 };
 
 constexpr int kDriftRounds = 100;
+constexpr std::size_t kDriftValues = 512;
 
 DriftLatency measure_drift_trigger(const Workload& w) {
   DriftLatency out;
   // Real decision values from a real replay seed the reference; the live
   // window gets the same values shifted — a guaranteed, repeatable drift.
+  // One pass over the replay yields fewer windows than the probe needs,
+  // so the stream cycles over it; a window completes every `window`
+  // events, which bounds the loop.
   std::vector<double> values;
   core::Detector::Stream stream = w.detector->stream();
-  for (const trace::PartitionedEvent& e : w.replay.events) {
-    if (stream.push(e).has_value()) {
+  const auto& events = w.replay.events;
+  const std::size_t limit =
+      events.empty() ? 0
+                     : 2 * kDriftValues * w.detector->preprocessor().window();
+  for (std::size_t i = 0; i < limit && values.size() < kDriftValues; ++i) {
+    if (stream.push(events[i % events.size()]).has_value()) {
       values.push_back(stream.last_decision_value());
     }
-    if (values.size() >= 512) break;
   }
   online::DriftOptions dopts;
   dopts.enabled = true;
@@ -275,16 +293,13 @@ int main() {
       util::env_int("LEAPS_SERVE_EVENTS", fast ? 1500 : 6000));
   const auto train_events =
       static_cast<std::size_t>(util::env_int("LEAPS_EVENTS", 3000));
-  // Micro-batched hand-off (events staged per queue push). 4 keeps queue
-  // contention visible but low; 1 reproduces the classic per-event path.
-  const auto coalesce = static_cast<std::size_t>(
-      util::env_int("LEAPS_SERVE_COALESCE", 4));
+  const bool strict = util::env_flag("LEAPS_BENCH_STRICT");
 
   std::printf("LEAPS reproduction — serving throughput (bench_serve)\n");
   std::printf(
       "config: sessions=%zu events/session=%zu train_events=%zu "
-      "coalesce=%zu hardware_concurrency=%u\n\n",
-      sessions, events_per_session, train_events, coalesce,
+      "hardware_concurrency=%u\n\n",
+      sessions, events_per_session, train_events,
       std::thread::hardware_concurrency());
 
   const Workload w = build_workload(train_events);
@@ -294,9 +309,8 @@ int main() {
   std::vector<std::pair<std::size_t, double>> rows;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     // Warm-up pass, then the measured pass.
-    run_once(w, workers, sessions, events_per_session / 4 + 1, coalesce);
-    const double rate =
-        run_once(w, workers, sessions, events_per_session, coalesce);
+    run_once(w, workers, sessions, events_per_session / 4 + 1);
+    const double rate = run_once(w, workers, sessions, events_per_session);
     if (workers == 1) base = rate;
     if (workers == 4) at4 = rate;
     rows.emplace_back(workers, rate);
@@ -329,6 +343,12 @@ int main() {
   } else {
     std::printf("drift monitor: measurement unavailable\n");
   }
+  if (strict && !(restart.ok && drift.ok)) {
+    std::fprintf(stderr,
+                 "bench_serve: a probe could not measure "
+                 "(LEAPS_BENCH_STRICT=1)\n");
+    return 1;
+  }
 
   const std::string json_path = util::env_string("LEAPS_BENCH_JSON", "");
   if (!json_path.empty()) {
@@ -342,7 +362,6 @@ int main() {
        << "  \"config\": {\"sessions\": " << sessions
        << ", \"events_per_session\": " << events_per_session
        << ", \"train_events\": " << train_events
-       << ", \"coalesce\": " << coalesce
        << ", \"hardware_concurrency\": "
        << std::thread::hardware_concurrency() << guard.annotation
        << "},\n  \"results\": [\n";

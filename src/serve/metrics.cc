@@ -17,7 +17,7 @@ void atomic_max(std::atomic<std::uint64_t>& a, std::uint64_t value) {
 }
 
 void histogram_text(std::ostringstream& os, const char* name,
-                    const LatencyHistogram::Snapshot& h) {
+                    const obs::LatencyHistogram::Snapshot& h) {
   os << "  " << name << " us: count=" << h.count;
   if (h.count > 0) {
     char buf[32];
@@ -30,7 +30,7 @@ void histogram_text(std::ostringstream& os, const char* name,
 }
 
 void histogram_json(std::ostringstream& os, const char* name,
-                    const LatencyHistogram::Snapshot& h) {
+                    const obs::LatencyHistogram::Snapshot& h) {
   os << "\"" << name << "\":{\"count\":" << h.count
      << ",\"total_us\":" << h.total_us << ",\"max_us\":" << h.max_us
      << ",\"p50_us\":" << h.quantile_us(0.50)
@@ -40,16 +40,16 @@ void histogram_json(std::ostringstream& os, const char* name,
   // consumers can compute any quantile, and the Prometheus _bucket lines
   // derive from the same arrays. le_us[i] is bucket i's inclusive upper
   // bound (-1 = the saturated last bucket, le="+Inf" in Prometheus).
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+  for (std::size_t i = 0; i < obs::LatencyHistogram::kBuckets; ++i) {
     if (i > 0) os << ",";
-    if (i + 1 == LatencyHistogram::kBuckets) {
+    if (i + 1 == obs::LatencyHistogram::kBuckets) {
       os << -1;
     } else {
-      os << LatencyHistogram::bucket_upper_us(i);
+      os << obs::LatencyHistogram::bucket_upper_us(i);
     }
   }
   os << "],\"buckets\":[";
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+  for (std::size_t i = 0; i < obs::LatencyHistogram::kBuckets; ++i) {
     if (i > 0) os << ",";
     os << h.buckets[i];
   }
@@ -92,12 +92,6 @@ MetricsSnapshot ServerMetrics::snapshot() const {
   s.registry_retries = registry_retries.load(kRelaxed);
   s.shed_activations = shed_activations.load(kRelaxed);
   s.queue_high_water = queue_high_water_.load(kRelaxed);
-  s.slab_sessions_in_use = session_slabs->in_use.load(kRelaxed);
-  s.slab_sessions_free = session_slabs->free.load(kRelaxed);
-  s.slab_chunks = session_slabs->chunks.load(kRelaxed);
-  s.slab_overflow = session_slabs->overflow.load(kRelaxed);
-  s.slab_batches_in_use = batch_buffers->in_use.load(kRelaxed);
-  s.slab_batches_free = batch_buffers->free.load(kRelaxed);
   s.queue_wait = queue_wait.snapshot();
   s.classify = classify.snapshot();
   s.decision_values = decision_values.snapshot();
@@ -122,12 +116,7 @@ std::string MetricsSnapshot::to_text() const {
      << "  queues: high-water=" << queue_high_water
      << " batches=" << batches_drained
      << " shed-activations=" << shed_activations
-     << " registry-retries=" << registry_retries << "\n"
-     << "  slabs: sessions-in-use=" << slab_sessions_in_use
-     << " sessions-free=" << slab_sessions_free
-     << " chunks=" << slab_chunks << " overflow=" << slab_overflow
-     << " batch-buffers=" << slab_batches_in_use << "/"
-     << slab_batches_free << " (in-use/free)\n";
+     << " registry-retries=" << registry_retries << "\n";
   histogram_text(os, "queue-wait", queue_wait);
   histogram_text(os, "classify ", classify);
   os << "  decision-value: count=" << decision_values.count;
@@ -163,13 +152,7 @@ std::string MetricsSnapshot::to_json() const {
      << ",\"queues\":{\"high_water\":" << queue_high_water
      << ",\"batches\":" << batches_drained
      << ",\"shed_activations\":" << shed_activations
-     << ",\"registry_retries\":" << registry_retries << "}"
-     << ",\"slabs\":{\"sessions_in_use\":" << slab_sessions_in_use
-     << ",\"sessions_free\":" << slab_sessions_free
-     << ",\"chunks\":" << slab_chunks
-     << ",\"overflow\":" << slab_overflow
-     << ",\"batch_buffers_in_use\":" << slab_batches_in_use
-     << ",\"batch_buffers_free\":" << slab_batches_free << "},";
+     << ",\"registry_retries\":" << registry_retries << "},";
   histogram_json(os, "queue_wait", queue_wait);
   os << ",";
   histogram_json(os, "classify", classify);
@@ -242,30 +225,6 @@ obs::MetricRegistry::Registration ServerMetrics::register_with(
     hw.type = obs::MetricType::kGauge;
     hw.gauge_value = static_cast<std::int64_t>(snap.queue_high_water);
     out.push_back(std::move(hw));
-
-    const auto gauge = [&out](const char* name, const char* help,
-                              std::int64_t value) {
-      obs::MetricSample s;
-      s.name = name;
-      s.help = help;
-      s.type = obs::MetricType::kGauge;
-      s.gauge_value = value;
-      out.push_back(std::move(s));
-    };
-    gauge("leaps_serve_slab_sessions_in_use",
-          "session slots handed out by the slab pool",
-          snap.slab_sessions_in_use);
-    gauge("leaps_serve_slab_sessions_free",
-          "recycled session slots on the freelist", snap.slab_sessions_free);
-    gauge("leaps_serve_slab_chunks", "slab chunks allocated",
-          snap.slab_chunks);
-    gauge("leaps_serve_slab_overflow_total",
-          "allocations served off-pool (size mismatch)",
-          snap.slab_overflow);
-    gauge("leaps_serve_slab_batch_buffers_in_use",
-          "event-batch buffers in flight", snap.slab_batches_in_use);
-    gauge("leaps_serve_slab_batch_buffers_free",
-          "event-batch buffers pooled for reuse", snap.slab_batches_free);
 
     obs::MetricSample qw;
     qw.name = "leaps_serve_queue_wait_us";

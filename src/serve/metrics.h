@@ -10,19 +10,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "obs/histogram.h"
 #include "obs/registry.h"
-#include "serve/slab.h"
 
 namespace leaps::serve {
-
-/// The log₂-bucketed histogram now lives in obs/ (the metric registry
-/// needs it below the serving layer); this alias keeps every existing
-/// serve::LatencyHistogram user compiling unchanged.
-using LatencyHistogram = obs::LatencyHistogram;
 
 /// One coherent reading of every server counter (plain values).
 ///
@@ -51,15 +44,8 @@ struct MetricsSnapshot {
   std::uint64_t registry_retries = 0;      // open_session re-lookups
   std::uint64_t shed_activations = 0;      // shard entered shedding
   std::uint64_t queue_high_water = 0;  // deepest any shard queue got (events)
-  // Slab fabric (see serve/slab.h): session slots and batch buffers.
-  std::int64_t slab_sessions_in_use = 0;
-  std::int64_t slab_sessions_free = 0;
-  std::int64_t slab_chunks = 0;
-  std::int64_t slab_overflow = 0;
-  std::int64_t slab_batches_in_use = 0;
-  std::int64_t slab_batches_free = 0;
-  LatencyHistogram::Snapshot queue_wait;  // enqueue → worker dequeue
-  LatencyHistogram::Snapshot classify;    // per drained run of one session
+  obs::LatencyHistogram::Snapshot queue_wait;  // enqueue → worker dequeue
+  obs::LatencyHistogram::Snapshot classify;    // per drained session run
   /// Distribution of SVM decision values over every scored window — the
   /// model-health signal (quantiles from the streaming sketch).
   obs::Summary::Snapshot decision_values;
@@ -89,18 +75,11 @@ class ServerMetrics {
   std::atomic<std::uint64_t> sessions_evicted{0};
   std::atomic<std::uint64_t> registry_retries{0};
   std::atomic<std::uint64_t> shed_activations{0};
-  LatencyHistogram queue_wait;
-  LatencyHistogram classify;
+  obs::LatencyHistogram queue_wait;
+  obs::LatencyHistogram classify;
   /// Streaming quantile sketch of per-window decision values (mutex-
   /// guarded internally; observed once per scored window, not per event).
   obs::Summary decision_values;
-  /// Gauge blocks the slab pools publish into (leaps_serve_slab_*).
-  /// shared_ptr: the session pool — and its gauges — can outlive the
-  /// server when queued events keep sessions alive past shutdown.
-  std::shared_ptr<SlabGauges> session_slabs =
-      std::make_shared<SlabGauges>();
-  std::shared_ptr<SlabGauges> batch_buffers =
-      std::make_shared<SlabGauges>();
 
   /// Raises the queue-depth high-water mark if `depth` exceeds it.
   void note_queue_depth(std::size_t depth);

@@ -29,7 +29,6 @@ std::uint64_t batch_p99_us(std::vector<std::uint64_t>& waits_us) {
 DetectionServer::DetectionServer(ServerOptions options) : options_(options) {
   LEAPS_CHECK_MSG(options_.workers >= 1, "server needs at least one worker");
   LEAPS_CHECK_MSG(options_.batch_size >= 1, "batch size must be >= 1");
-  LEAPS_CHECK_MSG(options_.coalesce >= 1, "coalesce must be >= 1");
   shards_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     shards_.push_back(std::make_unique<WeightedQueue<EventBatch>>(
@@ -139,10 +138,7 @@ void DetectionServer::start() {
 void DetectionServer::stop() {
   const std::lock_guard<std::mutex> lock(lifecycle_mu_);
   stopped_ = true;
-  // Fence new submits, then flush what already staged: any submit that
-  // misses this store re-checks closing_ after staging and self-flushes
-  // (see the closing_ comment in the header), so no event strands.
-  closing_.store(true, std::memory_order_seq_cst);
+  rejecting_.store(true);
   // Sweeper first: it must not race session eviction against shutdown.
   {
     const std::lock_guard<std::mutex> sweep_lock(sweep_mu_);
@@ -150,7 +146,6 @@ void DetectionServer::stop() {
   }
   sweep_cv_.notify_all();
   if (sweeper_.joinable()) sweeper_.join();
-  flush_all_stages();  // queues still open; workers still draining
   for (const auto& shard : shards_) shard->close();
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
@@ -160,9 +155,6 @@ void DetectionServer::stop() {
 }
 
 void DetectionServer::drain() {
-  // Ship partial stages first, or their events would never retire and
-  // this wait could not terminate.
-  flush_all_stages();
   std::unique_lock<std::mutex> lock(drain_mu_);
   drain_cv_.wait(lock, [this] {
     return retired_.load(std::memory_order_acquire) >=
@@ -209,111 +201,74 @@ std::shared_ptr<Session> DetectionServer::open_session(
 
 std::optional<SessionReport> DetectionServer::close_session(
     const SessionKey& key) {
-  // Hold the handle across close so any staged events can still ship
-  // (they are already counted ingested and must retire).
-  const std::shared_ptr<Session> session = sessions_.find(key);
   std::optional<SessionReport> report = sessions_.close(key);
-  if (report.has_value()) {
-    metrics_.sessions_closed.fetch_add(1, kRelaxed);
-    if (session != nullptr) flush_staged(session);
-  }
+  if (report.has_value()) metrics_.sessions_closed.fetch_add(1, kRelaxed);
   return report;
 }
 
 std::size_t DetectionServer::sweep_idle_now() {
   if (options_.idle_ttl.count() == 0) return 0;
   const auto cutoff = std::chrono::steady_clock::now() - options_.idle_ttl;
-  const std::vector<std::shared_ptr<Session>> evicted =
-      sessions_.evict_idle_sessions(cutoff);
-  if (!evicted.empty()) {
-    metrics_.sessions_evicted.fetch_add(evicted.size(), kRelaxed);
-    // An evicted session's staged events still retire: flush them now
-    // (the queue keeps the session alive until they are processed).
-    for (const auto& s : evicted) flush_staged(s);
-  }
-  return evicted.size();
+  const std::size_t evicted = sessions_.evict_idle(cutoff).size();
+  metrics_.sessions_evicted.fetch_add(evicted, kRelaxed);
+  return evicted;
 }
 
 bool DetectionServer::submit(const std::shared_ptr<Session>& session,
-                             trace::PartitionedEvent event) {
-  if (session == nullptr || session->quarantined()) {
-    metrics_.events_rejected.fetch_add(1, kRelaxed);
+                             std::span<const trace::PartitionedEvent> events) {
+  if (session == nullptr || session->quarantined() || rejecting_.load()) {
+    metrics_.events_rejected.fetch_add(events.size(), kRelaxed);
     return false;
   }
-  if (closing_.load(std::memory_order_seq_cst)) {
-    metrics_.events_rejected.fetch_add(1, kRelaxed);
-    return false;
-  }
-  // Ingest boundary: the event's strings die here; only the compact form
-  // (interned ids, see trace/intern.h) flows onward.
-  const trace::CompactEvent compact =
-      trace::TokenTable::global().compact(event);
-  accepted_.fetch_add(1, std::memory_order_release);
-  metrics_.events_ingested.fetch_add(1, kRelaxed);
-  {
-    const std::lock_guard<std::mutex> lock(session->stage_mutex());
-    session->stage().push_back(compact);
-    if (session->stage().size() >= options_.coalesce) {
-      flush_locked(session);
+  // The whole span counts as accepted before the first push, so a
+  // concurrent drain() waits for all of it.
+  accepted_.fetch_add(events.size(), std::memory_order_release);
+  metrics_.events_ingested.fetch_add(events.size(), kRelaxed);
+  WeightedQueue<EventBatch>& shard =
+      *shards_[session->shard_hash() % shards_.size()];
+  trace::TokenTable& table = trace::TokenTable::global();
+  std::vector<EventBatch> evicted;
+  for (std::size_t i = 0; i < events.size(); i += options_.batch_size) {
+    const auto chunk = events.subspan(i, std::min(options_.batch_size,
+                                                  events.size() - i));
+    // Ingest boundary: the events' strings die here; only the compact
+    // form (interned ids, see trace/intern.h) flows onward.
+    EventBatch batch{session, {}, {}};
+    batch.events.reserve(chunk.size());
+    for (const trace::PartitionedEvent& e : chunk) {
+      batch.events.push_back(table.compact(e));
     }
+    batch.enqueued = std::chrono::steady_clock::now();
+    const std::optional<std::size_t> depth =
+        shard.push(std::move(batch), chunk.size(), &evicted);
+    if (!evicted.empty()) {
+      const bool shed = shard.shedding();
+      for (const EventBatch& b : evicted) {
+        retire_dropped(b.events.size(), shed);
+      }
+      evicted.clear();
+    }
+    if (!depth.has_value()) {
+      // Queue closed by a racing stop(): the rest of the span was
+      // accepted (ingested), so it retires as dropped to keep the
+      // accounting identity exact.
+      retire_dropped(events.size() - i, false);
+      break;
+    }
+    metrics_.note_queue_depth(*depth);
   }
-  // Shutdown race: if stop() raised closing_ after our check above, its
-  // flush_all_stages may already have passed this session. Re-check and
-  // self-flush so the staged event retires either way.
-  if (closing_.load(std::memory_order_seq_cst)) flush_staged(session);
   return true;
 }
 
 bool DetectionServer::submit(const SessionKey& key,
-                             trace::PartitionedEvent event) {
-  return submit(sessions_.find(key), std::move(event));
+                             const trace::PartitionedEvent& event) {
+  return submit(sessions_.find(key), event);
 }
 
 void DetectionServer::retire_dropped(std::size_t n, bool shed) {
   metrics_.events_dropped.fetch_add(n, kRelaxed);
   if (shed) metrics_.events_shed.fetch_add(n, kRelaxed);
   note_completed(n);
-}
-
-void DetectionServer::flush_locked(const std::shared_ptr<Session>& session) {
-  if (session->stage().empty()) return;
-  EventBatch batch;
-  batch.session = session;
-  batch.events = std::move(session->stage());
-  session->stage() = batch_pool_.acquire();
-  batch.enqueued = std::chrono::steady_clock::now();
-  const std::size_t weight = batch.events.size();
-  WeightedQueue<EventBatch>& shard =
-      *shards_[session->shard_hash() % shards_.size()];
-  // Pushed while the stage lock is held: two racing flushes for one
-  // session would otherwise be able to enqueue out of order, corrupting
-  // the per-session FIFO that window assembly depends on.
-  std::vector<EventBatch> evicted;
-  const bool ok = shard.push(std::move(batch), weight, &evicted);
-  metrics_.note_queue_depth(shard.high_water());
-  if (!evicted.empty()) {
-    const bool shed = shard.shedding();
-    for (EventBatch& b : evicted) {
-      retire_dropped(b.events.size(), shed);
-      batch_pool_.release(std::move(b.events));
-    }
-  }
-  if (!ok) {
-    // Queue closed mid-shutdown: these events were accepted (ingested),
-    // so they retire as dropped to keep the accounting identity exact.
-    retire_dropped(weight, false);
-  }
-}
-
-void DetectionServer::flush_staged(const std::shared_ptr<Session>& session) {
-  const std::lock_guard<std::mutex> lock(session->stage_mutex());
-  flush_locked(session);
-}
-
-void DetectionServer::flush_all_stages() {
-  // Coalesce == 1 ships every event at submit; nothing can be staged.
-  if (options_.coalesce <= 1) return;
-  for (const auto& session : sessions_.all()) flush_staged(session);
 }
 
 void DetectionServer::note_completed(std::uint64_t n) {
@@ -408,9 +363,6 @@ void DetectionServer::worker_loop(std::size_t shard_index) {
         metrics_.events_failed.fetch_add(run.size(), kRelaxed);
         metrics_.events_quarantined.fetch_add(run.size(), kRelaxed);
         note_completed(run.size());
-        for (std::size_t k = i; k < j; ++k) {
-          batch_pool_.release(std::move(batches[k].events));
-        }
         i = j;
         continue;
       }
@@ -437,9 +389,6 @@ void DetectionServer::worker_loop(std::size_t shard_index) {
         }
       }
       note_completed(run.size());
-      for (std::size_t k = i; k < j; ++k) {
-        batch_pool_.release(std::move(batches[k].events));
-      }
       i = j;
     }
   }

@@ -2,45 +2,40 @@
 //
 //                    ┌────────────────────────────────────────────┐
 //   producers ──────▶│ shard queues (bounded, backpressure) ──▶   │
-//   submit(key, ev)  │   worker 0 … worker N−1 (fixed pool)       │──▶ verdict
-//     [intern →      │   each drains its own queue in batches,    │    sink
-//      stage →       │   groups runs by session, feeds Streams    │
-//      batch]        └────────────────────────────────────────────┘
+//   submit(session,  │   worker 0 … worker N−1 (fixed pool)       │──▶ verdict
+//          span)     │   each drains its own queue in batches,    │    sink
+//     [intern →      │   groups runs by session, feeds Streams    │
+//      items of      └────────────────────────────────────────────┘
+//      ≤ batch_size]
 //        DetectorRegistry (profiles) · SessionManager ((host,pid) streams)
 //        ServerMetrics (atomic counters + latency histograms)
 //
-// The fleet-scale fabric (see DESIGN.md §14):
-//
-//   * interning at the ingest boundary — submit() compacts the event
-//     through the process-wide trace::TokenTable; only fixed-size
-//     trace::CompactEvent values (ids, no strings) flow through queues
-//     and workers,
-//   * micro-batched hand-off — events stage per session and are pushed
-//     to the shard queue as one EventBatch every `coalesce` events
-//     (default 1: every event ships immediately, exactly the classic
-//     per-event behavior), slashing queue contention at high coalesce,
-//   * weighted queues — capacity/depth/drop accounting stay in EVENT
-//     units regardless of batching, so `queue_capacity` means the same
-//     thing at any coalesce,
-//   * slab/arena allocation — Session control blocks come from a
-//     freelist slab pool and batch buffers are recycled through a
-//     BufferPool (leaps_serve_slab_* gauges; see serve/slab.h).
+// The caller's batch is the hand-off unit (see DESIGN.md §14). The Testing
+// Phase scores fixed windows of a stream the caller already holds, so
+// submit() takes a span of events: it interns each one through the
+// process-wide trace::TokenTable (only fixed-size trace::CompactEvent
+// values — ids, no strings — flow through queues and workers) and pushes
+// the span to the session's shard queue in items of at most `batch_size`
+// events, the same size a worker drains per wakeup. Nothing is held
+// server-side between calls: a single-event submit is a span of one and
+// ships at once. Queues are weighted, so capacity, depth and drop
+// accounting stay in EVENT units whatever the item size.
 //
 // Sharding: every session is pinned to one shard queue by a hash of its
 // key, so one session's events are consumed by one worker in FIFO order —
 // per-session event order (which window semantics depend on) is preserved
 // without any cross-worker coordination; parallelism comes from having
 // many sessions. Queues are MPMC-capable; any number of producer threads
-// may submit concurrently. The session table itself is sharded too
-// (`session_shards` independently-locked map shards), so open/find/close
-// never serialize on one mutex.
+// may submit concurrently (one producer per session keeps that session's
+// order; concurrent submits to one session interleave item by item). The
+// session table itself is sharded too (`session_shards` independently-
+// locked map shards), so open/find/close never serialize on one mutex.
 //
 // Backpressure per ServerOptions::overflow: kBlock stalls producers when
 // a shard queue fills (lossless replay), kDropOldest evicts the oldest
 // queued events (bounded-latency live ingest); drops are counted in
-// metrics. drain() first flushes every session's stage, then blocks until
-// every accepted event has been classified, which makes "replay N logs,
-// then read the tallies" deterministic.
+// metrics. drain() blocks until every accepted event has been classified,
+// which makes "replay N logs, then read the tallies" deterministic.
 //
 // Failure model — the server self-heals around hostile sessions instead
 // of crashing with them:
@@ -52,8 +47,7 @@
 //     session to SessionState::kQuarantined; its remaining events are
 //     discarded-with-accounting and new submits are rejected,
 //   * idle eviction: a background sweep (every `sweep_interval`, when
-//     `idle_ttl` > 0) closes sessions with no recent activity (staged
-//     events are flushed first, never stranded),
+//     `idle_ttl` > 0) closes sessions with no recent activity,
 //   * registry retry: open_session retries transient registry misses
 //     (operator mid-reload) with exponential backoff,
 //   * overload shedding: when a batch's queue-wait p99 exceeds
@@ -64,9 +58,10 @@
 // Accounting identity, exact after drain():
 //   events_ingested == events_processed + events_dropped
 //                      + events_quarantined
-// Staged events count as ingested the moment submit() accepts them; a
-// stage flushed into a closing queue retires its events as dropped, so
-// the identity survives shutdown races.
+// A span counts as ingested the moment submit() accepts it. An item that
+// meets a queue closed by stop() — a producer racing shutdown, possibly
+// blocked partway through its span — retires with the rest of its span as
+// dropped, so the identity survives shutdown races.
 #pragma once
 
 #include <atomic>
@@ -76,6 +71,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,7 +81,6 @@
 #include "serve/queue.h"
 #include "serve/registry.h"
 #include "serve/session.h"
-#include "serve/slab.h"
 #include "trace/intern.h"
 
 namespace leaps::serve {
@@ -96,15 +91,9 @@ struct ServerOptions {
   /// Per-shard queue capacity, in EVENTS (not batches).
   std::size_t queue_capacity = 4096;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
-  /// Max events a worker drains per wakeup.
+  /// Max events a worker drains per wakeup, and the most events submit()
+  /// packs into one queue item.
   std::size_t batch_size = 128;
-  /// Events staged per session before the stage ships to the shard queue
-  /// as one batch. 1 (the default) hands every event off immediately —
-  /// byte-for-byte the classic behavior; raise it (e.g. 32) to amortize
-  /// queue contention under fleet-scale ingest. Verdicts are identical at
-  /// any setting; only hand-off granularity changes. drain(), stop(),
-  /// close_session() and the idle sweep all flush partial stages.
-  std::size_t coalesce = 1;
   /// Session-table shards (rounded up to a power of two).
   std::size_t session_shards = 64;
   /// Consecutive per-session classification failures that quarantine the
@@ -199,13 +188,12 @@ class DetectionServer {
   /// drained once workers come up.
   void start();
 
-  /// Flushes staged events, closes the queues, drains what remains,
+  /// Rejects further submits, closes the queues, drains what remains,
   /// joins the workers. Idempotent; the destructor calls it.
   void stop();
 
-  /// Flushes every session's stage, then blocks until every accepted
-  /// event has been processed. Only meaningful while the server is
-  /// started (otherwise nothing drains).
+  /// Blocks until every accepted event has been processed. Only
+  /// meaningful while the server is started (otherwise nothing drains).
   void drain();
 
   /// Opens (or returns the already-open) session for `key` served by
@@ -225,22 +213,30 @@ class DetectionServer {
   /// No-op (returns 0) when idle_ttl is zero.
   std::size_t sweep_idle_now();
 
-  /// Enqueues one event for the session: interns it, stages it, and —
-  /// at every `coalesce`-th staged event — ships the stage to the
-  /// session's shard queue as one batch. Returns false — and counts the
-  /// event as rejected — when the session handle is null or quarantined,
-  /// or the server has been stopped. Under kDropOldest (or a shedding
-  /// shard) *older* queued events may be evicted (counted as dropped,
-  /// and as shed while shedding) to admit this one's batch.
+  /// Enqueues `events` for the session, in order: interns each one and
+  /// pushes them to the session's shard queue in items of at most
+  /// `batch_size` events. Returns false — and counts every event as
+  /// rejected — when the session handle is null or quarantined, or the
+  /// server has been stopped. Otherwise the whole span is accepted
+  /// (ingested) and true is returned; under kDropOldest (or a shedding
+  /// shard) *older* queued events may be evicted (counted as dropped, and
+  /// as shed while shedding) to admit it, and items that meet a queue
+  /// closed by a racing stop() are counted as dropped.
   bool submit(const std::shared_ptr<Session>& session,
-              trace::PartitionedEvent event);
+              std::span<const trace::PartitionedEvent> events);
+
+  /// A span of one.
+  bool submit(const std::shared_ptr<Session>& session,
+              const trace::PartitionedEvent& event) {
+    return submit(session, std::span<const trace::PartitionedEvent>(&event, 1));
+  }
 
   /// Convenience: looks the session up by key, then submits.
-  bool submit(const SessionKey& key, trace::PartitionedEvent event);
+  bool submit(const SessionKey& key, const trace::PartitionedEvent& event);
 
  private:
-  /// One hand-off unit: a run of same-session events. `events` comes from
-  /// (and returns to) batch_pool_. Queue weight = events.size().
+  /// One hand-off unit: a run of at most batch_size same-session events.
+  /// Queue weight = events.size().
   struct EventBatch {
     std::shared_ptr<Session> session;
     std::vector<trace::CompactEvent> events;
@@ -250,24 +246,14 @@ class DetectionServer {
   void worker_loop(std::size_t shard);
   void sweeper_loop();
   void note_completed(std::uint64_t n);
-  /// Ships `session`'s stage (if non-empty) to its shard queue; caller
-  /// must hold the session's stage mutex.
-  void flush_locked(const std::shared_ptr<Session>& session);
-  /// Locks the stage mutex, then flush_locked.
-  void flush_staged(const std::shared_ptr<Session>& session);
-  /// flush_staged for every live session (drain()/stop()/sweeper).
-  void flush_all_stages();
-  /// Retires a batch that will never reach a worker (evicted or pushed
+  /// Retires events that will never reach a worker (evicted or pushed
   /// into a closed queue): counts `n` dropped (+shed), wakes drain().
   void retire_dropped(std::size_t n, bool shed);
 
   const ServerOptions options_;
   DetectorRegistry registry_;
-  // metrics_ precedes sessions_/batch_pool_: they capture its gauge blocks.
   ServerMetrics metrics_;
-  SessionManager sessions_{&registry_, options_.session_shards,
-                           metrics_.session_slabs};
-  BufferPool<trace::CompactEvent> batch_pool_{1024, metrics_.batch_buffers};
+  SessionManager sessions_{&registry_, options_.session_shards};
   VerdictSink sink_;
   WindowTap tap_;  // set before start(), then read-only from workers
   AuditLog* audit_ = nullptr;  // set before start(); not owned
@@ -284,11 +270,10 @@ class DetectionServer {
   bool started_ = false;  // guarded by lifecycle_mu_
   bool stopped_ = false;  // guarded by lifecycle_mu_; stop is terminal
   std::mutex lifecycle_mu_;
-  // Raised (seq_cst) at the top of stop(), before the final stage flush.
-  // submit() checks it before staging AND re-checks after: either the
-  // closing flush sees a staged event, or the submitter sees closing_ and
-  // self-flushes — no event can strand in a stage across shutdown.
-  std::atomic<bool> closing_{false};
+  // Raised by stop() before it closes the queues; submit() rejects once
+  // it is set. A submit that passed the check meets the closed queue
+  // instead, and its events retire as dropped.
+  std::atomic<bool> rejecting_{false};
 
   // Sweeper wakeup/shutdown handshake.
   std::mutex sweep_mu_;

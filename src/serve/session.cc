@@ -203,11 +203,8 @@ SessionReport Session::report() const {
 }
 
 SessionManager::SessionManager(const DetectorRegistry* registry,
-                               std::size_t shards,
-                               std::shared_ptr<SlabGauges> slab_gauges)
-    : registry_(registry),
-      pool_(std::make_shared<SlabPool>(/*slots_per_chunk=*/256,
-                                       std::move(slab_gauges))) {
+                               std::size_t shards)
+    : registry_(registry) {
   LEAPS_CHECK_MSG(registry_ != nullptr, "SessionManager needs a registry");
   const std::size_t n = std::bit_ceil(shards == 0 ? std::size_t{1} : shards);
   shards_.reserve(n);
@@ -235,11 +232,8 @@ std::shared_ptr<Session> SessionManager::open(const SessionKey& key,
   // Snapshot the detector outside the shard lock.
   std::shared_ptr<const core::Detector> detector = registry_->find(profile);
   if (detector == nullptr) return nullptr;
-  // allocate_shared: the Session and its control block land in one slab
-  // slot; the allocator's pool shared_ptr keeps the slot's chunk alive
-  // even if the manager dies while queued events still hold the session.
-  auto session = std::allocate_shared<Session>(
-      SlabAllocator<Session>(pool_), key, profile, std::move(detector));
+  auto session =
+      std::make_shared<Session>(key, profile, std::move(detector));
   const std::unique_lock lock(shard.mu);
   // Another opener may have raced us; first one in wins.
   const auto [it, inserted] = shard.sessions.emplace(key, std::move(session));
@@ -268,17 +262,6 @@ std::optional<SessionReport> SessionManager::close(const SessionKey& key) {
 
 std::vector<SessionReport> SessionManager::evict_idle(
     std::chrono::steady_clock::time_point cutoff) {
-  const std::vector<std::shared_ptr<Session>> evicted =
-      evict_idle_sessions(cutoff);
-  // Reports outside the shard locks: report() takes each session's mutex.
-  std::vector<SessionReport> reports;
-  reports.reserve(evicted.size());
-  for (const auto& s : evicted) reports.push_back(s->report());
-  return reports;
-}
-
-std::vector<std::shared_ptr<Session>> SessionManager::evict_idle_sessions(
-    std::chrono::steady_clock::time_point cutoff) {
   std::vector<std::shared_ptr<Session>> evicted;
   for (const auto& shard : shards_) {
     const std::unique_lock lock(shard->mu);
@@ -291,7 +274,11 @@ std::vector<std::shared_ptr<Session>> SessionManager::evict_idle_sessions(
       }
     }
   }
-  return evicted;
+  // Reports outside the shard locks: report() takes each session's mutex.
+  std::vector<SessionReport> reports;
+  reports.reserve(evicted.size());
+  for (const auto& s : evicted) reports.push_back(s->report());
+  return reports;
 }
 
 std::size_t SessionManager::active() const {
@@ -304,7 +291,11 @@ std::size_t SessionManager::active() const {
 }
 
 std::vector<SessionReport> SessionManager::reports() const {
-  std::vector<std::shared_ptr<Session>> live = all();
+  std::vector<std::shared_ptr<Session>> live;
+  for (const auto& shard : shards_) {
+    const std::shared_lock lock(shard->mu);
+    for (const auto& [_, s] : shard->sessions) live.push_back(s);
+  }
   // Key order, as before sharding (shards interleave the key space).
   std::sort(live.begin(), live.end(),
             [](const auto& a, const auto& b) { return a->key() < b->key(); });
@@ -322,15 +313,6 @@ std::vector<std::shared_ptr<Session>> SessionManager::sessions_for(
     for (const auto& [_, s] : shard->sessions) {
       if (s->profile() == profile) out.push_back(s);
     }
-  }
-  return out;
-}
-
-std::vector<std::shared_ptr<Session>> SessionManager::all() const {
-  std::vector<std::shared_ptr<Session>> out;
-  for (const auto& shard : shards_) {
-    const std::shared_lock lock(shard->mu);
-    for (const auto& [_, s] : shard->sessions) out.push_back(s);
   }
   return out;
 }

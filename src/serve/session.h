@@ -27,8 +27,7 @@
 // SessionManager is sharded: the key space is split across N
 // independently-locked shards (power of two, key-hash selected), so
 // open/find/close on different shards never contend — the fleet-scale
-// fabric's first requirement. Session objects themselves come from a
-// freelist-backed slab pool (serve/slab.h).
+// fabric's first requirement.
 #pragma once
 
 #include <atomic>
@@ -46,7 +45,6 @@
 
 #include "core/pipeline.h"
 #include "serve/registry.h"
-#include "serve/slab.h"
 #include "trace/intern.h"
 #include "trace/partition.h"
 
@@ -192,14 +190,6 @@ class Session {
             last_active_.load(std::memory_order_acquire)));
   }
 
-  /// The producer-side micro-batch stage (guarded by its own mutex so
-  /// staging never contends with classification). submit() appends here
-  /// and the server flushes a full stage into the shard queue as one
-  /// EventBatch; see DetectionServer. Exposed as plain members for the
-  /// server (same translation unit family), not for general use.
-  std::mutex& stage_mutex() { return stage_mu_; }
-  std::vector<trace::CompactEvent>& stage() { return stage_; }
-
  private:
   // Shadow-deploy state (guarded by mu_). The candidate's stream exists
   // from attach but only starts consuming events once `aligned` flips true
@@ -243,9 +233,6 @@ class Session {
   std::vector<trace::CompactEvent> tap_buf_;
   // Scratch for materializing a tapped window (guarded by mu_; reused).
   std::vector<trace::PartitionedEvent> tap_scratch_;
-  // Producer-side micro-batch stage (guarded by stage_mu_, never by mu_).
-  std::mutex stage_mu_;
-  std::vector<trace::CompactEvent> stage_;
 };
 
 /// Owns the live sessions; thread-safe open/find/close. Sharded: the key
@@ -258,8 +245,7 @@ class SessionManager {
   /// Shards are rounded up to a power of two (default 64). The registry
   /// must outlive the manager.
   explicit SessionManager(const DetectorRegistry* registry,
-                          std::size_t shards = 64,
-                          std::shared_ptr<SlabGauges> slab_gauges = nullptr);
+                          std::size_t shards = 64);
 
   /// Opens a session for `key` classified by `profile`'s detector.
   /// Returns the existing session if one is already open for `key` (its
@@ -282,12 +268,6 @@ class SessionManager {
   std::vector<SessionReport> evict_idle(
       std::chrono::steady_clock::time_point cutoff);
 
-  /// evict_idle, but hands back the session objects instead of reports —
-  /// the server needs the handles to flush staged events so none strand
-  /// in an evicted session's stage.
-  std::vector<std::shared_ptr<Session>> evict_idle_sessions(
-      std::chrono::steady_clock::time_point cutoff);
-
   std::size_t active() const;
   /// Reports for every live session, in key order.
   std::vector<SessionReport> reports() const;
@@ -296,9 +276,6 @@ class SessionManager {
   /// attach/detach sweeps; the shared_ptrs keep them valid lock-free).
   std::vector<std::shared_ptr<Session>> sessions_for(
       const std::string& profile) const;
-
-  /// Every live session (for the server's stage flush); unordered.
-  std::vector<std::shared_ptr<Session>> all() const;
 
   std::size_t shard_count() const { return shards_.size(); }
 
@@ -312,7 +289,6 @@ class SessionManager {
 
   const DetectorRegistry* registry_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::shared_ptr<SlabPool> pool_;  // session slots; outlives via allocator
 };
 
 }  // namespace leaps::serve

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -16,6 +17,8 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,17 +41,18 @@ const TrainedDetector& fixture() {
   return *f;
 }
 
-// --- BoundedQueue ---------------------------------------------------------
+// --- WeightedQueue at unit weight ----------------------------------------
 
-TEST(BoundedQueue, BlockPolicyDeliversEverythingInOrder) {
-  BoundedQueue<int> q(2, OverflowPolicy::kBlock);
+TEST(WeightedQueue, BlockPolicyDeliversEverythingInOrder) {
+  WeightedQueue<int> q(2, OverflowPolicy::kBlock);
   constexpr int kItems = 500;
   std::thread producer([&q] {
-    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(q.push(i));
+    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(q.push(i, 1).has_value());
     q.close();
   });
   std::vector<int> got;
-  while (auto item = q.pop()) got.push_back(*item);
+  while (q.pop_batch(got, 1) > 0) {
+  }
   producer.join();
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kItems));
   for (int i = 0; i < kItems; ++i) EXPECT_EQ(got[i], i);
@@ -56,30 +60,32 @@ TEST(BoundedQueue, BlockPolicyDeliversEverythingInOrder) {
   EXPECT_EQ(q.dropped(), 0u);
 }
 
-TEST(BoundedQueue, DropOldestEvictsFromTheFront) {
-  BoundedQueue<int> q(4, OverflowPolicy::kDropOldest);
+TEST(WeightedQueue, DropOldestEvictsFromTheFront) {
+  WeightedQueue<int> q(4, OverflowPolicy::kDropOldest);
+  std::vector<int> evicted;
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(q.push(i));  // never blocks, never fails while open
+    // Never blocks, never fails while open; reports the depth it left.
+    EXPECT_EQ(q.push(i, 1, &evicted), std::optional<std::size_t>(
+                                          std::min(i + 1, 4)));
   }
   EXPECT_EQ(q.size(), 4u);
   EXPECT_EQ(q.dropped(), 6u);
+  EXPECT_EQ(evicted, (std::vector<int>{0, 1, 2, 3, 4, 5}));
   q.close();
   // Survivors are the newest four, still in order.
-  for (int expected : {6, 7, 8, 9}) {
-    const auto item = q.pop();
-    ASSERT_TRUE(item.has_value());
-    EXPECT_EQ(*item, expected);
-  }
-  EXPECT_FALSE(q.pop().has_value());
+  std::vector<int> out;
+  EXPECT_EQ(q.pop_batch(out, 100), 4u);
+  EXPECT_EQ(out, (std::vector<int>{6, 7, 8, 9}));
+  EXPECT_EQ(q.pop_batch(out, 100), 0u);
 }
 
-TEST(BoundedQueue, CloseUnblocksProducersAndDrainsConsumers) {
-  BoundedQueue<int> q(1, OverflowPolicy::kBlock);
-  ASSERT_TRUE(q.push(1));
+TEST(WeightedQueue, CloseUnblocksProducersAndDrainsConsumers) {
+  WeightedQueue<int> q(1, OverflowPolicy::kBlock);
+  ASSERT_TRUE(q.push(1, 1).has_value());
   std::atomic<bool> blocked_push_returned{false};
   std::thread producer([&] {
-    const bool ok = q.push(2);  // blocks: queue is full
-    EXPECT_FALSE(ok);           // woken by close, item discarded
+    const auto depth = q.push(2, 1);  // blocks: queue is full
+    EXPECT_FALSE(depth.has_value());  // woken by close, item discarded
     blocked_push_returned.store(true);
   });
   // Give the producer time to park on the condition variable.
@@ -88,13 +94,15 @@ TEST(BoundedQueue, CloseUnblocksProducersAndDrainsConsumers) {
   q.close();
   producer.join();
   EXPECT_TRUE(blocked_push_returned.load());
-  EXPECT_EQ(q.pop(), std::optional<int>(1));  // still drains
-  EXPECT_FALSE(q.pop().has_value());
+  std::vector<int> out;
+  EXPECT_EQ(q.pop_batch(out, 1), 1u);  // still drains
+  EXPECT_EQ(out, (std::vector<int>{1}));
+  EXPECT_EQ(q.pop_batch(out, 1), 0u);
 }
 
-TEST(BoundedQueue, PopBatchTakesUpToMax) {
-  BoundedQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.push(i));
+TEST(WeightedQueue, PopBatchTakesUpToMax) {
+  WeightedQueue<int> q(16);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.push(i, 1).has_value());
   std::vector<int> out;
   EXPECT_EQ(q.pop_batch(out, 4), 4u);
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
@@ -265,6 +273,65 @@ TEST(DetectionServer, SubmitAfterStopIsRejected) {
   server.stop();
   EXPECT_FALSE(server.submit(session, f.benign.events[0]));
   EXPECT_EQ(server.metrics().snapshot().events_rejected, 1u);
+}
+
+TEST(DetectionServer, RejectedSpanCountsEveryEvent) {
+  const TrainedDetector& f = fixture();
+  DetectionServer server({.workers = 1});
+  server.registry().add("app", f.detector);
+  const std::span<const trace::PartitionedEvent> span(f.benign.events.data(),
+                                                      10);
+  EXPECT_FALSE(server.submit(std::shared_ptr<Session>{}, span));
+  const auto session = server.open_session({"h", 1}, "app");
+  ASSERT_NE(session, nullptr);
+  session->quarantine();
+  EXPECT_FALSE(server.submit(session, span));
+  const MetricsSnapshot m = server.metrics().snapshot();
+  EXPECT_EQ(m.events_rejected, 20u);
+  EXPECT_EQ(m.events_ingested, 0u);
+}
+
+TEST(DetectionServer, StopUnblocksAProducerMidSpan) {
+  // A kBlock producer parks partway through a multi-item span (slow
+  // classification keeps its shard full) when stop() closes the queues.
+  // The producer must wake, the items it had not pushed retire as
+  // dropped, and the accounting identity must hold exactly.
+  const TrainedDetector& f = fixture();
+  ServerOptions options;
+  options.workers = 1;
+  options.queue_capacity = 16;
+  options.batch_size = 8;
+  DetectionServer server(options);
+  server.registry().add("app", f.detector);
+  const auto session = server.open_session({"span", 1}, "app");
+  ASSERT_NE(session, nullptr);
+  constexpr std::size_t kEvents = 2000;  // ~2 s of 1 ms classifications
+  std::vector<trace::PartitionedEvent> events;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    events.push_back(f.benign.events[i % f.benign.events.size()]);
+  }
+  const util::ScopedFault fault("serve.worker.classify",
+                                {.action = util::FaultAction::kDelay,
+                                 .delay = std::chrono::milliseconds(1)});
+  server.start();
+  std::atomic<bool> accepted{false};
+  std::thread producer(
+      [&] { accepted.store(server.submit(session, events)); });
+  // Once the shard has been full the producer is stuck in the span.
+  while (server.metrics().snapshot().queue_high_water <
+         options.queue_capacity) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  server.stop();
+  producer.join();
+
+  EXPECT_TRUE(accepted.load());
+  const MetricsSnapshot m = server.metrics().snapshot();
+  EXPECT_EQ(m.events_ingested, kEvents);
+  EXPECT_GT(m.events_dropped, 0u) << "stop() did not land mid-span";
+  EXPECT_EQ(m.events_ingested,
+            m.events_processed + m.events_dropped + m.events_quarantined);
 }
 
 // --- Crash isolation / self-healing ---------------------------------------

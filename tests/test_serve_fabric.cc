@@ -1,5 +1,5 @@
-// Fleet-scale session-fabric tests (the sharded/interned/slab-backed/
-// batched serving hot path):
+// Fleet-scale session-fabric tests (the sharded/interned/batched serving
+// hot path):
 //
 //   * TokenTable — exact round-trip interning (materialize ==
 //     original, byte for byte), derived-set equality with
@@ -7,10 +7,11 @@
 //   * SessionManager sharding — an open/close/find/evict/reports race
 //     hammer across threads (run under -DLEAPS_SANITIZE=thread in CI),
 //   * batched hand-off — windows assemble identically across any batch
-//     split: coalesce=1 vs coalesce=7 vs a sequential Detector::Stream
-//     produce byte-identical verdicts (decision values compared exactly),
+//     split: span submits of 1, 7, 160 events or the whole stream vs a
+//     sequential Detector::Stream produce byte-identical verdicts
+//     (decision values compared exactly),
 //   * WeightedQueue — event-granular capacity/drop accounting,
-//   * SlabPool / BufferPool — slot reuse, overflow fallback, gauges.
+//   * session lifetime — a closed session is freed with its last handle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +20,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -28,7 +29,6 @@
 #include "serve/queue.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "serve/slab.h"
 #include "trace/intern.h"
 
 namespace leaps::serve {
@@ -235,13 +235,14 @@ TEST(SessionManagerShards, ReportsAreKeyOrderedAcrossShards) {
 
 // --- batched hand-off: window assembly across batch splits ----------------
 
+/// Serves `stream` on `sessions` concurrent sessions, each producer
+/// submitting it as consecutive spans of `span_size` events.
 std::map<std::size_t, std::vector<std::pair<std::size_t, double>>>
-serve_verdicts(std::size_t coalesce, std::size_t sessions,
-               std::size_t per_session) {
+serve_verdicts(std::size_t span_size, std::size_t sessions,
+               const std::vector<trace::PartitionedEvent>& stream) {
   const TrainedDetector& f = fixture();
   ServerOptions options;
   options.workers = 3;
-  options.coalesce = coalesce;
   options.session_shards = 4;
   serve::DetectionServer server(options);
   server.registry().add("p", f.detector);
@@ -262,9 +263,10 @@ serve_verdicts(std::size_t coalesce, std::size_t sessions,
   std::vector<std::thread> producers;
   for (std::size_t s = 0; s < sessions; ++s) {
     producers.emplace_back([&, s] {
-      const auto& events = f.mixed.events;
-      for (std::size_t i = 0; i < per_session; ++i) {
-        server.submit(opened[s], events[i % events.size()]);
+      const std::span<const trace::PartitionedEvent> events(stream);
+      for (std::size_t i = 0; i < events.size(); i += span_size) {
+        server.submit(opened[s], events.subspan(
+                                     i, std::min(span_size, events.size() - i)));
       }
     });
   }
@@ -278,37 +280,41 @@ TEST(BatchedHandoff, WindowAssemblyIdenticalAcrossBatchSplits) {
   const TrainedDetector& f = fixture();
   constexpr std::size_t kSessions = 4;
   const std::size_t per_session = 40 * f.detector->preprocessor().window();
+  std::vector<trace::PartitionedEvent> stream;
+  for (std::size_t i = 0; i < per_session; ++i) {
+    stream.push_back(f.mixed.events[i % f.mixed.events.size()]);
+  }
 
   // Sequential ground truth: one Detector::Stream per session.
   std::vector<std::pair<std::size_t, double>> expected;
   {
-    core::Detector::Stream stream = f.detector->stream();
+    core::Detector::Stream reference = f.detector->stream();
     std::size_t window_index = 0;
-    for (std::size_t i = 0; i < per_session; ++i) {
-      const auto& events = f.mixed.events;
-      if (stream.push(events[i % events.size()]).has_value()) {
+    for (const trace::PartitionedEvent& e : stream) {
+      if (reference.push(e).has_value()) {
         expected.emplace_back(window_index++,
-                              stream.last_decision_value());
+                              reference.last_decision_value());
       }
     }
   }
   ASSERT_FALSE(expected.empty());
 
-  // coalesce=1 (per-event hand-off), a prime coalesce that never divides
-  // the window size, and one larger than the worker drain batch.
-  for (const std::size_t coalesce : {std::size_t{1}, std::size_t{7},
-                                     std::size_t{160}}) {
-    const auto got = serve_verdicts(coalesce, kSessions, per_session);
-    ASSERT_EQ(got.size(), kSessions) << "coalesce=" << coalesce;
+  // Per-event spans, a prime size that never divides the window size,
+  // one larger than the 128-event queue item (so spans split into
+  // items), and the whole stream in one submit.
+  for (const std::size_t span_size : {std::size_t{1}, std::size_t{7},
+                                      std::size_t{160}, per_session}) {
+    const auto got = serve_verdicts(span_size, kSessions, stream);
+    ASSERT_EQ(got.size(), kSessions) << "span=" << span_size;
     for (const auto& [pid, verdicts] : got) {
       ASSERT_EQ(verdicts.size(), expected.size())
-          << "coalesce=" << coalesce << " session " << pid;
+          << "span=" << span_size << " session " << pid;
       for (std::size_t i = 0; i < expected.size(); ++i) {
         EXPECT_EQ(verdicts[i].first, expected[i].first);
         // Byte-identical decision values — the interned/batched path must
         // not perturb the math by even one ulp.
         EXPECT_EQ(verdicts[i].second, expected[i].second)
-            << "coalesce=" << coalesce << " window " << i;
+            << "span=" << span_size << " window " << i;
       }
     }
   }
@@ -364,94 +370,26 @@ TEST(WeightedQueue, PopBatchTakesAtLeastOneAndStopsAtMaxWeight) {
   EXPECT_EQ(q.pop_batch(out, 1000), 0u);  // closed and drained
 }
 
-// --- SlabPool / BufferPool ------------------------------------------------
+// --- session lifetime -----------------------------------------------------
 
-TEST(SlabPool, ReusesSlotsAndPublishesGauges) {
-  auto gauges = std::make_shared<SlabGauges>();
-  SlabPool pool(4, gauges);
-  void* a = pool.allocate(64, 8);
-  void* b = pool.allocate(64, 8);
-  EXPECT_EQ(pool.in_use(), 2u);
-  EXPECT_EQ(pool.chunk_count(), 1u);
-  EXPECT_EQ(gauges->in_use.load(), 2);
-  pool.deallocate(a, 64, 8);
-  EXPECT_EQ(gauges->free.load(), 3);
-  // A freed slot is handed out again before any chunk growth.
-  void* c = pool.allocate(64, 8);
-  EXPECT_EQ(c, a);
-  EXPECT_EQ(pool.chunk_count(), 1u);
-  pool.deallocate(b, 64, 8);
-  pool.deallocate(c, 64, 8);
-  EXPECT_EQ(pool.in_use(), 0u);
-  EXPECT_EQ(gauges->in_use.load(), 0);
-}
-
-TEST(SlabPool, MismatchedSizeFallsBackToHeapWithCounter) {
-  auto gauges = std::make_shared<SlabGauges>();
-  SlabPool pool(4, gauges);
-  void* a = pool.allocate(64, 8);  // fixes the slot size
-  void* odd = pool.allocate(128, 8);
-  ASSERT_NE(odd, nullptr);
-  EXPECT_EQ(pool.overflow(), 1u);
-  EXPECT_EQ(gauges->overflow.load(), 1);
-  EXPECT_EQ(pool.in_use(), 1u);  // overflow blocks are not pool slots
-  pool.deallocate(odd, 128, 8);  // classified by containment -> heap path
-  pool.deallocate(a, 64, 8);
-  EXPECT_EQ(pool.in_use(), 0u);
-}
-
-TEST(SlabPool, GrowsByWholeChunks) {
-  SlabPool pool(2);
-  std::vector<void*> slots;
-  for (int i = 0; i < 5; ++i) slots.push_back(pool.allocate(32, 8));
-  EXPECT_EQ(pool.chunk_count(), 3u);  // ceil(5 / 2)
-  const std::set<void*> unique(slots.begin(), slots.end());
-  EXPECT_EQ(unique.size(), slots.size());
-  for (void* p : slots) pool.deallocate(p, 32, 8);
-  EXPECT_EQ(pool.free_slots(), 6u);
-}
-
-TEST(BufferPool, RecyclesCapacityAndBoundsFreeList) {
-  auto gauges = std::make_shared<SlabGauges>();
-  BufferPool<int> pool(2, gauges);
-  std::vector<int> a = pool.acquire();
-  a.reserve(1024);
-  const std::size_t cap = a.capacity();
-  int* data = a.data();
-  pool.release(std::move(a));
-  std::vector<int> b = pool.acquire();
-  EXPECT_EQ(b.data(), data) << "capacity must be recycled, not reallocated";
-  EXPECT_GE(b.capacity(), cap);
-  EXPECT_TRUE(b.empty());
-  // max_free bounds the free list: the third release is dropped.
-  pool.release(std::move(b));
-  pool.release(pool.acquire());
-  std::vector<int> c = pool.acquire();
-  std::vector<int> d = pool.acquire();
-  std::vector<int> e = pool.acquire();
-  pool.release(std::move(c));
-  pool.release(std::move(d));
-  pool.release(std::move(e));
-  EXPECT_LE(pool.free_buffers(), 2u);
-  EXPECT_EQ(gauges->in_use.load(), 0);
-}
-
-TEST(SlabAllocator, SessionsAllocateFromThePoolViaAllocateShared) {
-  auto gauges = std::make_shared<SlabGauges>();
+TEST(SessionManager, ClosedSessionIsFreedWithItsLastHandle) {
   DetectorRegistry registry;
   registry.add("p", fixture().detector);
-  SessionManager manager(&registry, 4, gauges);
+  SessionManager manager(&registry, 4);
   std::vector<std::shared_ptr<Session>> held;
+  std::vector<std::weak_ptr<Session>> watched;
   for (std::uint32_t pid = 0; pid < 16; ++pid) {
-    held.push_back(manager.open({"slab", pid}, "p"));
+    held.push_back(manager.open({"life", pid}, "p"));
     ASSERT_NE(held.back(), nullptr);
+    watched.push_back(held.back());
   }
-  EXPECT_EQ(gauges->in_use.load() +
-                gauges->overflow.load(),
-            16);
-  for (std::uint32_t pid = 0; pid < 16; ++pid) manager.close({"slab", pid});
-  held.clear();  // last refs drop -> slots return to the freelist
-  EXPECT_EQ(gauges->in_use.load(), 0);
+  for (std::uint32_t pid = 0; pid < 16; ++pid) manager.close({"life", pid});
+  EXPECT_EQ(manager.active(), 0u);
+  // Handles (as queued events hold them) keep closed sessions alive...
+  for (const auto& w : watched) EXPECT_FALSE(w.expired());
+  held.clear();
+  // ...and the last one frees them.
+  for (const auto& w : watched) EXPECT_TRUE(w.expired());
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -73,9 +74,9 @@ constexpr const char* kUsage =
     "  --soak        fleet-scale session-fabric soak: hold --sessions live\n"
     "                sessions at once (CI drills 100000; pass 1000000 for\n"
     "                the documented 1M-session scale), burst-classify a\n"
-    "                sample through micro-batched hand-off, then close the\n"
-    "                fleet — asserting exact accounting and slab-slot\n"
-    "                reconciliation. Runs instead of the replay phases\n"
+    "                sample (one span submit per session), then close the\n"
+    "                fleet — asserting exact accounting and that no session\n"
+    "                is left behind. Runs instead of the replay phases\n"
     "  --rollover    also exercise the online retrain -> shadow -> promote\n"
     "                machinery plus a forced-rollback drill (not part of\n"
     "                plain --smoke; CI runs it as a non-gating canary)\n"
@@ -678,17 +679,16 @@ void persist_corrupt_corpus(const Trained& trained) {
 /// Phase (--soak): fleet-scale session-fabric soak. Holds `fleet` live
 /// sessions at once (CI drills 100k; the documented scale is 1M — pass
 /// --sessions 1000000), drives a classification burst through a rotating
-/// sample with micro-batched hand-off engaged, then closes the whole
-/// fleet. The contract: every open succeeds and stays held (peak active
-/// == fleet), exact accounting after drain, the slab pool accounts for
-/// every session slot, and teardown returns every slot to the freelist.
+/// sample — each sampled session's burst is one span submit — then closes
+/// the whole fleet. The contract: every open succeeds and stays held (peak
+/// active == fleet), exact accounting after drain and after teardown, and
+/// teardown leaves no session behind.
 void soak_fabric(const Trained& trained, std::size_t fleet, bool smoke) {
   const Watchdog watchdog("soak", std::chrono::seconds(smoke ? 600 : 3000));
 
   serve::ServerOptions options;
   options.workers = smoke ? 2 : 4;
   options.session_shards = 256;   // the sharded table is what soaks
-  options.coalesce = 8;           // exercise the batched hand-off path
   options.queue_capacity = 8192;
   serve::DetectionServer server(options);
   server.registry().add("default", trained.detector);
@@ -704,27 +704,24 @@ void soak_fabric(const Trained& trained, std::size_t fleet, bool smoke) {
   }
   const std::size_t peak = server.sessions().active();
   check(peak == fleet, "soak: fleet not fully held");
-  {
-    const serve::MetricsSnapshot m = server.metrics().snapshot();
-    check(m.slab_sessions_in_use + m.slab_overflow ==
-              static_cast<std::int64_t>(fleet),
-          "soak: slab pool does not account for every session slot");
-  }
 
   // Classification burst through a sample of the fleet (windows must
   // still assemble correctly while 100k+ sessions are resident).
   const std::size_t window = trained.detector->preprocessor().window();
   const std::size_t sample = std::min<std::size_t>(fleet, 512);
   const std::size_t burst = window * 2;
-  const auto& events = trained.benign.events;
+  if (trained.benign.events.size() < burst) {
+    check(false, "soak: benign log shorter than one burst");
+    return;
+  }
+  const std::span<const trace::PartitionedEvent> events(
+      trained.benign.events.data(), burst);
   for (std::size_t s = 0; s < sample; ++s) {
     // Spread the sample across the fleet, not just the first shards.
     const std::size_t idx = s * (fleet / sample);
     const serve::SessionKey key{"soak-" + std::to_string(idx & 1023),
                                 static_cast<std::uint32_t>(idx)};
-    for (std::size_t i = 0; i < burst; ++i) {
-      server.submit(key, events[i % events.size()]);
-    }
+    server.submit(server.sessions().find(key), events);
   }
   server.drain();
   const serve::MetricsSnapshot mid = server.metrics().snapshot();
@@ -734,7 +731,7 @@ void soak_fabric(const Trained& trained, std::size_t fleet, bool smoke) {
   check(mid.windows_scored >= sample,
         "soak: sampled sessions scored no windows");
 
-  // Teardown: close the entire fleet; every slab slot must come home.
+  // Teardown: close the entire fleet.
   std::size_t closed = 0;
   for (std::size_t s = 0; s < fleet; ++s) {
     const serve::SessionKey key{"soak-" + std::to_string(s & 1023),
@@ -745,17 +742,10 @@ void soak_fabric(const Trained& trained, std::size_t fleet, bool smoke) {
   check(server.sessions().active() == 0, "soak: sessions left behind");
   server.drain();
   server.stop();
-  {
-    const serve::MetricsSnapshot m = server.metrics().snapshot();
-    check(m.slab_sessions_in_use == 0,
-          "soak: session slots leaked after teardown");
-    check(m.slab_sessions_free > 0,
-          "soak: freelist empty after returning the fleet");
-  }
+  check_identity(server.metrics().snapshot(), "soak teardown");
   std::printf("soak: held %zu sessions (peak %zu), burst %zu x %zu events "
-              "through micro-batches, accounting exact, slab slots "
-              "reconciled (1M is the documented scale: --sessions "
-              "1000000)\n",
+              "as span submits, accounting exact, fleet fully closed "
+              "(1M is the documented scale: --sessions 1000000)\n",
               fleet, peak, sample, burst);
 }
 

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,10 +48,8 @@ constexpr const char* kUsage =
     "  --rate R              events/sec per session (0 = unthrottled)\n"
     "  --queue-capacity N    per-shard queue capacity (default 4096)\n"
     "  --policy P            backpressure: block | drop-oldest\n"
-    "  --batch N             worker drain batch size (default 128)\n"
-    "  --coalesce N          events staged per session before one queue\n"
-    "                        hand-off (default 1 = per-event; raise to\n"
-    "                        amortize queue contention at fleet scale)\n"
+    "  --batch N             events per queue hand-off and per worker\n"
+    "                        drain (default 128)\n"
     "  --session-shards N    session-table shards (default 64, pow2)\n"
     "  --threshold F         flagged fraction per session that makes the\n"
     "                        overall verdict suspicious (default 0.25)\n"
@@ -129,23 +128,26 @@ trace::PartitionedLog load_log(const std::string& path) {
   return *std::move(log);
 }
 
-/// Feeds one session's events, pacing to `rate` events/sec when positive.
+/// Feeds one session's events. Unpaced, the whole log is one submit;
+/// at `rate` events/sec (> 0) each 64-event pacing step is one submit.
 void replay(serve::DetectionServer& server,
             const std::shared_ptr<serve::Session>& session,
             const trace::PartitionedLog& log, double rate) {
+  const std::span<const trace::PartitionedEvent> events(log.events);
+  if (rate <= 0.0) {
+    server.submit(session, events);
+    return;
+  }
+  constexpr std::size_t kStep = 64;
   const auto start = std::chrono::steady_clock::now();
-  std::size_t sent = 0;
-  for (const trace::PartitionedEvent& event : log.events) {
-    if (rate > 0.0 && sent % 64 == 0) {
-      const auto due =
-          start + std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(
-                          static_cast<double>(sent) / rate));
-      std::this_thread::sleep_until(due);
-    }
-    server.submit(session, event);
-    ++sent;
+  for (std::size_t sent = 0; sent < events.size(); sent += kStep) {
+    const auto due =
+        start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                    std::chrono::duration<double>(
+                        static_cast<double>(sent) / rate));
+    std::this_thread::sleep_until(due);
+    server.submit(session,
+                  events.subspan(sent, std::min(kStep, events.size() - sent)));
   }
 }
 
@@ -178,7 +180,6 @@ int main(int argc, char** argv) {
   args.option("--queue-capacity", &options.queue_capacity);
   args.option("--policy", &policy);
   args.option("--batch", &options.batch_size);
-  args.option("--coalesce", &options.coalesce);
   args.option("--session-shards", &options.session_shards);
   args.option("--threshold", &threshold);
   args.option("--metrics-every", &metrics_every);
@@ -224,7 +225,7 @@ int main(int argc, char** argv) {
   }
   options.overflow = *parsed_policy;
   if (options.workers == 0) args.usage_error("%s must be >= 1", "--workers");
-  if (options.coalesce == 0) args.usage_error("%s must be >= 1", "--coalesce");
+  if (options.batch_size == 0) args.usage_error("%s must be >= 1", "--batch");
   if (drift && !online) args.usage_error("%s requires --online", "--drift");
   online_options.drift.enabled = drift;
   options.idle_ttl = std::chrono::milliseconds(idle_ttl_ms);
