@@ -10,6 +10,11 @@
 // Each producer hands its session's events to the server as spans (the
 // replay's contiguous runs), the same hand-off leaps-serve uses.
 //
+// Each worker count runs one warm-up pass and then a fixed number of
+// measured passes (5, or 3 under LEAPS_FAST); the table and the JSON
+// report the median with the min and max beside it, and the speedup
+// column divides medians.
+//
 // Knobs: LEAPS_SERVE_SESSIONS (default 8), LEAPS_SERVE_EVENTS per session
 // (default 6000), LEAPS_EVENTS (training-log size), LEAPS_FAST=1.
 // LEAPS_BENCH_JSON=<path> additionally writes the measurements as a JSON
@@ -83,6 +88,20 @@ Workload build_workload(std::size_t train_events) {
   w.replay = mixed;
   return w;
 }
+
+/// Measured passes per worker count (after one warm-up pass). One pass
+/// under LEAPS_FAST lasts ~10 ms, too short for a single pass to stand
+/// for the worker count; the median is reported with its min and max.
+constexpr std::size_t kPasses = 5;
+constexpr std::size_t kFastPasses = 3;
+
+/// One worker count's throughput over its measured passes (events/sec).
+struct Rate {
+  std::size_t workers;
+  double median;
+  double min;
+  double max;
+};
 
 double run_once(const Workload& w, std::size_t workers,
                 std::size_t sessions, std::size_t events_per_session) {
@@ -303,23 +322,31 @@ int main() {
       std::thread::hardware_concurrency());
 
   const Workload w = build_workload(train_events);
-  std::printf("%-8s %14s %10s\n", "workers", "events/sec", "speedup");
-  double base = 0.0;
-  double at4 = 0.0;
-  std::vector<std::pair<std::size_t, double>> rows;
+  const std::size_t passes = fast ? kFastPasses : kPasses;
+  std::printf("%zu measured passes per worker count; events/sec median "
+              "[min, max], speedup of the medians\n",
+              passes);
+  std::printf("%-8s %14s %25s %10s\n", "workers", "events/sec", "[min, max]",
+              "speedup");
+  std::vector<Rate> rows;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    // Warm-up pass, then the measured pass.
+    // Warm-up pass, then the measured passes.
     run_once(w, workers, sessions, events_per_session / 4 + 1);
-    const double rate = run_once(w, workers, sessions, events_per_session);
-    if (workers == 1) base = rate;
-    if (workers == 4) at4 = rate;
-    rows.emplace_back(workers, rate);
-    std::printf("%-8zu %14.0f %9.2fx\n", workers, rate,
-                base > 0.0 ? rate / base : 1.0);
+    std::vector<double> rates;
+    for (std::size_t p = 0; p < passes; ++p) {
+      rates.push_back(run_once(w, workers, sessions, events_per_session));
+    }
+    std::sort(rates.begin(), rates.end());
+    rows.push_back({workers, rates[rates.size() / 2], rates.front(),
+                    rates.back()});
+    const Rate& r = rows.back();
+    std::printf("%-8zu %14.0f   [%10.0f, %10.0f] %9.2fx\n", workers,
+                r.median, r.min, r.max, r.median / rows.front().median);
   }
+  const double at4 = rows[2].median / rows.front().median;  // 4 workers
   std::printf(
       "\n1 → 4 workers: %.2fx aggregate scaling over %zu sessions%s\n",
-      base > 0.0 ? at4 / base : 0.0, sessions,
+      at4, sessions,
       std::thread::hardware_concurrency() < 4
           ? " (machine has fewer than 4 hardware threads; expect ~1x here)"
           : "");
@@ -362,16 +389,17 @@ int main() {
        << "  \"config\": {\"sessions\": " << sessions
        << ", \"events_per_session\": " << events_per_session
        << ", \"train_events\": " << train_events
+       << ", \"passes\": " << passes
        << ", \"hardware_concurrency\": "
        << std::thread::hardware_concurrency() << guard.annotation
        << "},\n  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      char line[128];
+      char line[192];
       std::snprintf(line, sizeof line,
                     "    {\"workers\": %zu, \"events_per_sec\": %.0f, "
-                    "\"speedup\": %.2f}%s\n",
-                    rows[i].first, rows[i].second,
-                    base > 0.0 ? rows[i].second / base : 1.0,
+                    "\"min\": %.0f, \"max\": %.0f, \"speedup\": %.2f}%s\n",
+                    rows[i].workers, rows[i].median, rows[i].min,
+                    rows[i].max, rows[i].median / rows.front().median,
                     i + 1 < rows.size() ? "," : "");
       os << line;
     }

@@ -1,10 +1,10 @@
 #include "obs/registry.h"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.h"
 #include "obs/trace.h"
 #include "util/build_info.h"
 
@@ -26,20 +26,16 @@ const char* type_name(MetricType t) {
   return "unknown";
 }
 
-/// Prometheus float rendering: shortest round-trippable-enough form, with
-/// the spec's spellings for the non-finite values.
-void append_double(std::ostringstream& os, double v) {
+/// Prometheus float rendering: the JSON writer's `%.9g`, with the
+/// exposition format's own spellings for the non-finite values.
+void prometheus_number(std::ostringstream& os, double v) {
   if (std::isnan(v)) {
     os << "NaN";
-    return;
-  }
-  if (std::isinf(v)) {
+  } else if (std::isinf(v)) {
     os << (v > 0 ? "+Inf" : "-Inf");
-    return;
+  } else {
+    json::number(os, v);
   }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  os << buf;
 }
 
 /// `name` or `name{labels}`.
@@ -54,31 +50,13 @@ void summary_prometheus(std::ostringstream& os, const MetricSample& s) {
       {"0.5", s.summary.q50}, {"0.9", s.summary.q90}, {"0.99", s.summary.q99}};
   for (const auto& [q, v] : quantiles) {
     os << s.name << "{" << prefix << "quantile=\"" << q << "\"} ";
-    append_double(os, v);
+    prometheus_number(os, v);
     os << "\n";
   }
-  os << s.name << "_sum";
-  if (!s.labels.empty()) os << "{" << s.labels << "}";
-  os << " ";
-  append_double(os, s.summary.sum);
-  os << "\n" << s.name << "_count";
-  if (!s.labels.empty()) os << "{" << s.labels << "}";
-  os << " " << s.summary.count << "\n";
-}
-
-void summary_json(std::ostringstream& os, const Summary::Snapshot& s) {
-  os << "\"count\":" << s.count << ",\"sum\":";
-  append_double(os, s.sum);
-  os << ",\"min\":";
-  append_double(os, s.min);
-  os << ",\"max\":";
-  append_double(os, s.max);
-  os << ",\"q50\":";
-  append_double(os, s.q50);
-  os << ",\"q90\":";
-  append_double(os, s.q90);
-  os << ",\"q99\":";
-  append_double(os, s.q99);
+  const std::string braced = s.labels.empty() ? "" : "{" + s.labels + "}";
+  os << s.name << "_sum" << braced << " ";
+  prometheus_number(os, s.summary.sum);
+  os << "\n" << s.name << "_count" << braced << " " << s.summary.count << "\n";
 }
 
 void histogram_prometheus(std::ostringstream& os, const std::string& name,
@@ -100,38 +78,21 @@ void histogram_prometheus(std::ostringstream& os, const std::string& name,
   os << name << "_count " << h.count << "\n";
 }
 
-void histogram_json(std::ostringstream& os,
-                    const LatencyHistogram::Snapshot& h) {
-  os << "\"count\":" << h.count << ",\"total_us\":" << h.total_us
-     << ",\"max_us\":" << h.max_us << ",\"p50_us\":" << h.quantile_us(0.50)
-     << ",\"p95_us\":" << h.quantile_us(0.95)
-     << ",\"p99_us\":" << h.quantile_us(0.99) << ",\"le_us\":[";
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (i > 0) os << ",";
-    // The saturated last bucket has no finite bound; emit -1 as the JSON
-    // stand-in for +Inf (the Prometheus rendering uses le="+Inf").
-    if (i + 1 == LatencyHistogram::kBuckets) {
-      os << -1;
-    } else {
-      os << LatencyHistogram::bucket_upper_us(i);
-    }
-  }
-  os << "],\"buckets\":[";
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (i > 0) os << ",";
-    os << h.buckets[i];
-  }
-  os << "]";
-}
-
-void append_json_escaped(std::ostringstream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-}
-
 }  // namespace
+
+MetricSample scalar_sample(MetricType type, std::string name,
+                           std::string help, std::uint64_t value) {
+  MetricSample s;
+  s.name = std::move(name);
+  s.help = std::move(help);
+  s.type = type;
+  if (type == MetricType::kGauge) {
+    s.gauge_value = static_cast<std::int64_t>(value);
+  } else {
+    s.counter_value = value;
+  }
+  return s;
+}
 
 MetricRegistry& MetricRegistry::global() {
   static MetricRegistry registry;
@@ -145,12 +106,9 @@ MetricRegistry& MetricRegistry::global() {
     } c;
     c.build_info = registry.register_collector(
         [](std::vector<MetricSample>& out) {
-          MetricSample s;
-          s.name = "leaps_build_info";
-          s.help =
-              "build identity: constant 1, labels carry version/SHA/type";
-          s.type = MetricType::kGauge;
-          s.gauge_value = 1;
+          MetricSample s = scalar_sample(
+              MetricType::kGauge, "leaps_build_info",
+              "build identity: constant 1, labels carry version/SHA/type", 1);
           s.labels = std::string("version=\"") + util::kVersion +
                      "\",git_sha=\"" + util::kGitSha + "\",build_type=\"" +
                      util::kBuildType + "\",sanitizer=\"" + util::kSanitizer +
@@ -158,12 +116,10 @@ MetricRegistry& MetricRegistry::global() {
           out.push_back(std::move(s));
         });
     c.tracer = registry.register_collector([](std::vector<MetricSample>& out) {
-      MetricSample s;
-      s.name = "leaps_trace_spans_dropped_total";
-      s.help = "spans lost because the tracer ring was full";
-      s.type = MetricType::kCounter;
-      s.counter_value = Tracer::instance().dropped();
-      out.push_back(std::move(s));
+      out.push_back(scalar_sample(
+          MetricType::kCounter, "leaps_trace_spans_dropped_total",
+          "spans lost because the tracer ring was full",
+          Tracer::instance().dropped()));
     });
     return c;
   }();
@@ -273,6 +229,8 @@ std::vector<MetricSample> MetricRegistry::collect() const {
   return out;
 }
 
+namespace {
+
 std::string samples_to_prometheus(const std::vector<MetricSample>& samples) {
   std::ostringstream os;
   for (const MetricSample& s : samples) {
@@ -305,13 +263,13 @@ std::string samples_to_json(const std::vector<MetricSample>& samples) {
   for (const MetricSample& s : samples) {
     if (!first) os << ",";
     first = false;
-    os << "\n\"";
-    append_json_escaped(os, s.name);
-    os << "\":{\"type\":\"" << type_name(s.type) << "\",";
+    os << "\n";
+    json::quote(os, s.name);
+    os << ":{\"type\":\"" << type_name(s.type) << "\",";
     if (!s.labels.empty()) {
-      os << "\"labels\":\"";
-      append_json_escaped(os, s.labels);
-      os << "\",";
+      os << "\"labels\":";
+      json::quote(os, s.labels);
+      os << ",";
     }
     switch (s.type) {
       case MetricType::kCounter:
@@ -321,10 +279,10 @@ std::string samples_to_json(const std::vector<MetricSample>& samples) {
         os << "\"value\":" << s.gauge_value;
         break;
       case MetricType::kHistogram:
-        histogram_json(os, s.histogram);
+        json::histogram_fields(os, s.histogram);
         break;
       case MetricType::kSummary:
-        summary_json(os, s.summary);
+        json::summary_fields(os, s.summary);
         break;
     }
     os << "}";
@@ -332,6 +290,8 @@ std::string samples_to_json(const std::vector<MetricSample>& samples) {
   os << "\n}\n";
   return os.str();
 }
+
+}  // namespace
 
 std::string MetricRegistry::to_prometheus() const {
   return samples_to_prometheus(collect());

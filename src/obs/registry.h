@@ -4,11 +4,13 @@
 // One process-wide registry (MetricRegistry::global()) is the scrape
 // surface for everything: pipeline stages register owned metrics lazily
 // (a function-local `static Counter&` caches the name lookup off the hot
-// path), and composite holders like serve::ServerMetrics contribute their
-// existing atomics through a collector callback — so `leaps-serve
-// --metrics-out` exposes serving and ingest/pipeline metrics in one
-// document. Tests construct private registries instead of fighting over
-// the global one.
+// path), and holders with their own atomics (serve::ServerMetrics, the
+// global TokenTable, the build identity, the tracer's drop count) append
+// samples built with scalar_sample() through a collector callback — so
+// `leaps-serve --metrics-out` exposes serving and ingest/pipeline metrics
+// in one document. Tests construct private registries instead of fighting
+// over the global one. The JSON exposition is built from obs/json.h: a
+// non-finite reading is `null` there and `NaN`/`+Inf` in Prometheus.
 //
 // Hot-path cost: Counter::inc / Gauge::set are one relaxed atomic RMW;
 // histogram recording is obs::LatencyHistogram (a handful of relaxed
@@ -73,6 +75,12 @@ struct MetricSample {
   LatencyHistogram::Snapshot histogram;         // kHistogram
   Summary::Snapshot summary;                    // kSummary
 };
+
+/// A counter or gauge reading, the one way collectors build those samples
+/// (set `labels` on the result when it needs them). A gauge stores
+/// `value` as its signed reading.
+MetricSample scalar_sample(MetricType type, std::string name,
+                           std::string help, std::uint64_t value);
 
 /// Appends this holder's readings. Called under the registry mutex; must
 /// not call back into the registry.
@@ -156,10 +164,5 @@ class MetricRegistry {
   std::map<std::uint64_t, Collector> collectors_;      // guarded by mu_
   std::uint64_t next_collector_id_ = 1;                // guarded by mu_
 };
-
-/// Renders samples without a registry (used by MetricsSnapshot-style
-/// holders that already have plain values in hand).
-std::string samples_to_prometheus(const std::vector<MetricSample>& samples);
-std::string samples_to_json(const std::vector<MetricSample>& samples);
 
 }  // namespace leaps::obs

@@ -6,6 +6,8 @@
 #include <map>
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace leaps::obs {
 
 namespace {
@@ -30,13 +32,6 @@ std::chrono::steady_clock::time_point& epoch() {
   static std::chrono::steady_clock::time_point t =
       std::chrono::steady_clock::now();
   return t;
-}
-
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out.push_back('\\');
-    out.push_back(*s);
-  }
 }
 
 }  // namespace
@@ -98,26 +93,25 @@ void Tracer::clear() {
 
 std::string Tracer::chrome_trace_json() const {
   const std::vector<SpanRecord> spans = snapshot();
-  std::string out;
-  out.reserve(spans.size() * 96 + 16);
-  out += "[";
+  std::ostringstream os;
+  os << "[";
   char buf[160];
   bool first = true;
   for (const SpanRecord& s : spans) {
-    if (!first) out += ",";
+    if (!first) os << ",";
     first = false;
-    out += "\n{\"name\":\"";
-    append_escaped(out, s.name);
+    os << "\n{\"name\":";
+    json::quote(os, s.name);
     std::snprintf(buf, sizeof buf,
-                  "\",\"cat\":\"leaps\",\"ph\":\"X\",\"ts\":%.3f,"
+                  ",\"cat\":\"leaps\",\"ph\":\"X\",\"ts\":%.3f,"
                   "\"dur\":%.3f,\"pid\":1,\"tid\":%u,"
                   "\"args\":{\"depth\":%u}}",
                   static_cast<double>(s.start_ns) / 1000.0,
                   static_cast<double>(s.dur_ns) / 1000.0, s.tid, s.depth);
-    out += buf;
+    os << buf;
   }
-  out += "\n]\n";
-  return out;
+  os << "\n]\n";
+  return os.str();
 }
 
 std::string Tracer::profile_text() const {

@@ -1,77 +1,36 @@
 #include "online/status.h"
 
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
+#include "obs/json.h"
 #include "util/atomic_file.h"
 #include "util/check.h"
 
 namespace leaps::online {
-
-namespace {
-
-/// %.9g, with the non-finite values JSON cannot carry clamped to 0 (they
-/// cannot occur here — decision values and p-values are finite — but a
-/// status file that fails `python -m json.tool` would be worse than a
-/// clamped corner value).
-void append_double(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << 0;
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  os << buf;
-}
-
-void append_summary(std::ostream& os, const obs::Summary::Snapshot& s) {
-  os << "{\"count\":" << s.count << ",\"sum\":";
-  append_double(os, s.sum);
-  os << ",\"min\":";
-  append_double(os, s.min);
-  os << ",\"max\":";
-  append_double(os, s.max);
-  os << ",\"q50\":";
-  append_double(os, s.q50);
-  os << ",\"q90\":";
-  append_double(os, s.q90);
-  os << ",\"q99\":";
-  append_double(os, s.q99);
-  os << "}";
-}
-
-}  // namespace
 
 std::string render_status_json(const StatusInputs& inputs) {
   LEAPS_CHECK_MSG(inputs.server != nullptr, "status needs a server");
   const serve::MetricsSnapshot m = inputs.server->metrics().snapshot();
   std::ostringstream os;
   os << "{\"sessions\":{\"active\":" << inputs.server->sessions().active()
-     << ",\"opened\":" << m.sessions_opened
-     << ",\"closed\":" << m.sessions_closed
-     << ",\"quarantined\":" << m.sessions_quarantined
-     << ",\"evicted\":" << m.sessions_evicted << "}";
-  os << ",\"events\":{\"ingested\":" << m.events_ingested
-     << ",\"processed\":" << m.events_processed
-     << ",\"dropped\":" << m.events_dropped
-     << ",\"rejected\":" << m.events_rejected
-     << ",\"quarantined\":" << m.events_quarantined
-     << ",\"shed\":" << m.events_shed << "}";
-  os << ",\"windows\":{\"scored\":" << m.windows_scored
-     << ",\"benign\":" << m.verdicts_benign
-     << ",\"malicious\":" << m.verdicts_malicious << "}";
-  os << ",\"queues\":{\"high_water\":" << m.queue_high_water
-     << ",\"batches\":" << m.batches_drained
-     << ",\"shed_activations\":" << m.shed_activations
-     << ",\"wait_p99_us\":" << m.queue_wait.quantile_us(0.99) << "}";
-  os << ",\"decision_value\":";
-  append_summary(os, m.decision_values);
+     << ",";
+  m.counter_fields(os, "sessions");
+  os << "},\"events\":{";
+  m.counter_fields(os, "events");
+  os << "},\"windows\":{";
+  m.counter_fields(os, "windows");
+  os << "},\"queues\":{";
+  m.counter_fields(os, "queues");
+  os << ",\"wait_p99_us\":" << m.queue_wait.quantile_us(0.99)
+     << "},\"decision_value\":{";
+  obs::json::summary_fields(os, m.decision_values);
+  os << "}";
 
   if (inputs.manager != nullptr) {
     const OnlineReport r = inputs.manager->report();
-    os << ",\"online\":{\"phase\":\"" << r.phase << "\""
-       << ",\"retrain_cycles\":" << r.retrain_cycles
+    os << ",\"online\":{\"phase\":";
+    obs::json::quote(os, r.phase);
+    os << ",\"retrain_cycles\":" << r.retrain_cycles
        << ",\"retrain_failures\":" << r.retrain_failures
        << ",\"promotions\":" << r.promotions
        << ",\"rollbacks\":" << r.rollbacks
@@ -86,16 +45,16 @@ std::string render_status_json(const StatusInputs& inputs) {
        << ",\"reference_size\":" << d.reference_size
        << ",\"reference_frozen\":" << (d.reference_frozen ? "true" : "false")
        << ",\"live_size\":" << d.live_size << ",\"ks\":";
-    append_double(os, d.ks_statistic);
+    obs::json::number(os, d.ks_statistic);
     os << ",\"p_value\":";
-    append_double(os, d.p_value);
+    obs::json::number(os, d.p_value);
     os << ",\"evaluations\":" << d.evaluations
        << ",\"triggers\":" << d.triggers << ",\"trigger_pending\":"
        << (d.trigger_pending ? "true" : "false")
        << ",\"last_trigger_lsn\":" << r.last_drift_trigger_lsn
-       << ",\"sketch\":";
-    append_summary(os, d.sketch);
-    os << ",\"generations\":[";
+       << ",\"sketch\":{";
+    obs::json::summary_fields(os, d.sketch);
+    os << "},\"generations\":[";
     for (std::size_t g = 0; g < d.generations.size(); ++g) {
       if (g > 0) os << ",";
       os << "{\"generation\":" << g
@@ -124,10 +83,12 @@ std::string render_status_json(const StatusInputs& inputs) {
       for (const attrib::AttributionVerdict& v : s.verdicts) {
         if (!first) os << ",";
         first = false;
-        os << "{\"type\":\"AttributionVerdict\",\"session\":\""
-           << s.key.to_string() << "\",\"signature\":\"" << v.signature
-           << "\",\"score\":";
-        append_double(os, v.score);
+        os << "{\"type\":\"AttributionVerdict\",\"session\":";
+        obs::json::quote(os, s.key.to_string());
+        os << ",\"signature\":";
+        obs::json::quote(os, v.signature);
+        os << ",\"score\":";
+        obs::json::number(os, v.score);
         os << ",\"nodes_matched\":" << v.nodes_matched
            << ",\"nodes_total\":" << v.nodes_total
            << ",\"edges_satisfied\":" << v.edges_satisfied

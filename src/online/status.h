@@ -9,6 +9,11 @@
 // (`leaps-top`, a scrape sidecar, `python -m json.tool` in CI) always
 // sees a complete document, never a torn one.
 //
+// The serving groups carry the counter table's keys (plus
+// `sessions.active` and `queues.wait_p99_us`); every string and number
+// goes through obs/json.h, so untrusted names are escaped and non-finite
+// values are `null`. DESIGN.md §13 lists the keys.
+//
 // This lives in online/ (not serve/) because the interesting half of the
 // surface — drift state, retrain phase, per-generation verdict mixes —
 // comes from OnlineManager, which serve/ sits below.

@@ -9,6 +9,7 @@
 
 #include "cfg/weight.h"
 #include "ml/svm.h"
+#include "obs/json.h"
 #include "obs/registry.h"
 #include "trace/intern.h"
 
@@ -30,19 +31,6 @@ obs::Counter& dropped_counter() {
       "leaps_serve_audit_dropped_total",
       "audit records dropped because the writer queue was full");
   return c;
-}
-
-void append_double(std::ostringstream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  os << buf;
-}
-
-void append_json_escaped(std::ostringstream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
 }
 
 }  // namespace
@@ -145,14 +133,14 @@ std::string AuditLog::format_record(
     const std::vector<trace::PartitionedEvent>& events,
     const core::Detector& detector, std::size_t top_k) {
   std::ostringstream os;
-  os << "{\"window\":" << window_index << ",\"host\":\"";
-  append_json_escaped(os, key.host);
-  os << "\",\"pid\":" << key.pid << ",\"profile\":\"";
-  append_json_escaped(os, profile);
-  os << "\",\"label\":" << label << ",\"decision_value\":";
-  append_double(os, decision_value);
+  os << "{\"window\":" << window_index << ",\"host\":";
+  obs::json::quote(os, key.host);
+  os << ",\"pid\":" << key.pid << ",\"profile\":";
+  obs::json::quote(os, profile);
+  os << ",\"label\":" << label << ",\"decision_value\":";
+  obs::json::number(os, decision_value);
   os << ",\"threshold\":";
-  append_double(os, detector.decision_threshold());
+  obs::json::number(os, detector.decision_threshold());
   os << ",\"events\":" << events.size();
 
   // Top-k support-vector contributions to f(x), against the scaled window
@@ -172,11 +160,11 @@ std::string AuditLog::format_record(
     const auto& c = contributions[i];
     if (i > 0) os << ",";
     os << "{\"sv\":" << c.sv_index << ",\"coefficient\":";
-    append_double(os, c.coefficient);
+    obs::json::number(os, c.coefficient);
     os << ",\"kernel\":";
-    append_double(os, c.kernel_value);
+    obs::json::number(os, c.kernel_value);
     os << ",\"contribution\":";
-    append_double(os, c.contribution);
+    obs::json::number(os, c.contribution);
     os << "}";
   }
   os << "]";
@@ -207,8 +195,10 @@ std::string AuditLog::format_record(
       char addr[32];
       std::snprintf(addr, sizeof addr, "0x%llx",
                     static_cast<unsigned long long>(terms[i].first));
-      os << "{\"address\":\"" << addr << "\",\"benignity\":";
-      append_double(os, terms[i].second);
+      os << "{\"address\":";
+      obs::json::quote(os, addr);
+      os << ",\"benignity\":";
+      obs::json::number(os, terms[i].second);
       os << "}";
     }
   }
@@ -237,9 +227,7 @@ std::string AuditLog::format_record(
     os << "\"" << name << "\":[";
     for (std::size_t i = 0; i < v.size(); ++i) {
       if (i > 0) os << ",";
-      os << "\"";
-      append_json_escaped(os, v[i]);
-      os << "\"";
+      obs::json::quote(os, v[i]);
     }
     os << "]";
   };

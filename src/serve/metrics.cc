@@ -1,9 +1,87 @@
 #include "serve/metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace leaps::serve {
+
+/// One serving counter: where it lives, where its snapshot lands, and how
+/// every surface names it.
+struct CounterRow {
+  std::atomic<std::uint64_t> ServerMetrics::*live;
+  std::uint64_t MetricsSnapshot::*field;
+  std::string_view group;  // JSON object and text-report line
+  std::string_view key;    // JSON key; the text key swaps `_` for `-`
+  const char* prometheus;
+  const char* help;
+  obs::MetricType type = obs::MetricType::kCounter;
+};
+
+/// The rows, grouped (each group's rows are contiguous) in report order.
+/// A friend of ServerMetrics, for the private high-water atomic.
+struct CounterTable {
+  static const CounterRow kRows[];
+};
+
+const CounterRow CounterTable::kRows[] = {
+    {&ServerMetrics::events_ingested, &MetricsSnapshot::events_ingested,
+     "events", "ingested", "leaps_serve_events_ingested_total",
+     "events accepted by submit"},
+    {&ServerMetrics::events_processed, &MetricsSnapshot::events_processed,
+     "events", "processed", "leaps_serve_events_processed_total",
+     "events classified"},
+    {&ServerMetrics::events_dropped, &MetricsSnapshot::events_dropped,
+     "events", "dropped", "leaps_serve_events_dropped_total",
+     "events evicted from a queue before feed"},
+    {&ServerMetrics::events_rejected, &MetricsSnapshot::events_rejected,
+     "events", "rejected", "leaps_serve_events_rejected_total",
+     "submits refused (unknown session / stopped server)"},
+    {&ServerMetrics::events_quarantined, &MetricsSnapshot::events_quarantined,
+     "events", "quarantined", "leaps_serve_events_quarantined_total",
+     "events failed or skipped in feed_run"},
+    {&ServerMetrics::events_failed, &MetricsSnapshot::events_failed, "events",
+     "failed", "leaps_serve_events_failed_total",
+     "events that threw during classification"},
+    {&ServerMetrics::events_shed, &MetricsSnapshot::events_shed, "events",
+     "shed", "leaps_serve_events_shed_total",
+     "events dropped while shedding engaged"},
+    {&ServerMetrics::windows_scored, &MetricsSnapshot::windows_scored,
+     "windows", "scored", "leaps_serve_windows_scored_total",
+     "windows classified"},
+    {&ServerMetrics::verdicts_benign, &MetricsSnapshot::verdicts_benign,
+     "windows", "benign", "leaps_serve_verdicts_benign_total",
+     "benign window verdicts"},
+    {&ServerMetrics::verdicts_malicious, &MetricsSnapshot::verdicts_malicious,
+     "windows", "malicious", "leaps_serve_verdicts_malicious_total",
+     "malicious window verdicts"},
+    {&ServerMetrics::sessions_opened, &MetricsSnapshot::sessions_opened,
+     "sessions", "opened", "leaps_serve_sessions_opened_total",
+     "sessions opened"},
+    {&ServerMetrics::sessions_closed, &MetricsSnapshot::sessions_closed,
+     "sessions", "closed", "leaps_serve_sessions_closed_total",
+     "sessions closed"},
+    {&ServerMetrics::sessions_quarantined,
+     &MetricsSnapshot::sessions_quarantined, "sessions", "quarantined",
+     "leaps_serve_sessions_quarantined_total", "circuit-breaker trips"},
+    {&ServerMetrics::sessions_evicted, &MetricsSnapshot::sessions_evicted,
+     "sessions", "evicted", "leaps_serve_sessions_evicted_total",
+     "sessions removed by the idle sweep"},
+    {&ServerMetrics::queue_high_water_, &MetricsSnapshot::queue_high_water,
+     "queues", "high_water", "leaps_serve_queue_high_water",
+     "deepest any shard queue got (events)", obs::MetricType::kGauge},
+    {&ServerMetrics::batches_drained, &MetricsSnapshot::batches_drained,
+     "queues", "batches", "leaps_serve_batches_drained_total",
+     "worker batch drains"},
+    {&ServerMetrics::shed_activations, &MetricsSnapshot::shed_activations,
+     "queues", "shed_activations", "leaps_serve_shed_activations_total",
+     "times a shard entered shedding"},
+    {&ServerMetrics::registry_retries, &MetricsSnapshot::registry_retries,
+     "queues", "registry_retries", "leaps_serve_registry_retries_total",
+     "open_session registry re-lookups"},
+};
 
 namespace {
 
@@ -29,33 +107,6 @@ void histogram_text(std::ostringstream& os, const char* name,
   os << "\n";
 }
 
-void histogram_json(std::ostringstream& os, const char* name,
-                    const obs::LatencyHistogram::Snapshot& h) {
-  os << "\"" << name << "\":{\"count\":" << h.count
-     << ",\"total_us\":" << h.total_us << ",\"max_us\":" << h.max_us
-     << ",\"p50_us\":" << h.quantile_us(0.50)
-     << ",\"p95_us\":" << h.quantile_us(0.95)
-     << ",\"p99_us\":" << h.quantile_us(0.99) << ",\"le_us\":[";
-  // Full bucket shape, not just three pre-chewed quantiles: downstream
-  // consumers can compute any quantile, and the Prometheus _bucket lines
-  // derive from the same arrays. le_us[i] is bucket i's inclusive upper
-  // bound (-1 = the saturated last bucket, le="+Inf" in Prometheus).
-  for (std::size_t i = 0; i < obs::LatencyHistogram::kBuckets; ++i) {
-    if (i > 0) os << ",";
-    if (i + 1 == obs::LatencyHistogram::kBuckets) {
-      os << -1;
-    } else {
-      os << obs::LatencyHistogram::bucket_upper_us(i);
-    }
-  }
-  os << "],\"buckets\":[";
-  for (std::size_t i = 0; i < obs::LatencyHistogram::kBuckets; ++i) {
-    if (i > 0) os << ",";
-    os << h.buckets[i];
-  }
-  os << "]}";
-}
-
 }  // namespace
 
 void ServerMetrics::note_queue_depth(std::size_t depth) {
@@ -74,24 +125,9 @@ void ServerMetrics::restore_baseline(std::uint64_t ingested,
 
 MetricsSnapshot ServerMetrics::snapshot() const {
   MetricsSnapshot s;
-  s.events_ingested = events_ingested.load(kRelaxed);
-  s.events_processed = events_processed.load(kRelaxed);
-  s.events_dropped = events_dropped.load(kRelaxed);
-  s.events_rejected = events_rejected.load(kRelaxed);
-  s.events_quarantined = events_quarantined.load(kRelaxed);
-  s.events_failed = events_failed.load(kRelaxed);
-  s.events_shed = events_shed.load(kRelaxed);
-  s.windows_scored = windows_scored.load(kRelaxed);
-  s.verdicts_benign = verdicts_benign.load(kRelaxed);
-  s.verdicts_malicious = verdicts_malicious.load(kRelaxed);
-  s.batches_drained = batches_drained.load(kRelaxed);
-  s.sessions_opened = sessions_opened.load(kRelaxed);
-  s.sessions_closed = sessions_closed.load(kRelaxed);
-  s.sessions_quarantined = sessions_quarantined.load(kRelaxed);
-  s.sessions_evicted = sessions_evicted.load(kRelaxed);
-  s.registry_retries = registry_retries.load(kRelaxed);
-  s.shed_activations = shed_activations.load(kRelaxed);
-  s.queue_high_water = queue_high_water_.load(kRelaxed);
+  for (const CounterRow& row : CounterTable::kRows) {
+    s.*row.field = (this->*row.live).load(kRelaxed);
+  }
   s.queue_wait = queue_wait.snapshot();
   s.classify = classify.snapshot();
   s.decision_values = decision_values.snapshot();
@@ -100,23 +136,19 @@ MetricsSnapshot ServerMetrics::snapshot() const {
 
 std::string MetricsSnapshot::to_text() const {
   std::ostringstream os;
-  os << "serve metrics:\n"
-     << "  events: ingested=" << events_ingested
-     << " processed=" << events_processed << " dropped=" << events_dropped
-     << " rejected=" << events_rejected
-     << " quarantined=" << events_quarantined
-     << " failed=" << events_failed << " shed=" << events_shed << "\n"
-     << "  windows: scored=" << windows_scored
-     << " benign=" << verdicts_benign << " malicious=" << verdicts_malicious
-     << "\n"
-     << "  sessions: opened=" << sessions_opened
-     << " closed=" << sessions_closed
-     << " quarantined=" << sessions_quarantined
-     << " evicted=" << sessions_evicted << "\n"
-     << "  queues: high-water=" << queue_high_water
-     << " batches=" << batches_drained
-     << " shed-activations=" << shed_activations
-     << " registry-retries=" << registry_retries << "\n";
+  os << "serve metrics:\n";
+  std::string_view group;
+  for (const CounterRow& row : CounterTable::kRows) {
+    if (row.group != group) {
+      if (!group.empty()) os << "\n";
+      group = row.group;
+      os << "  " << group << ":";
+    }
+    std::string key(row.key);
+    std::replace(key.begin(), key.end(), '_', '-');
+    os << " " << key << "=" << this->*row.field;
+  }
+  os << "\n";
   histogram_text(os, "queue-wait", queue_wait);
   histogram_text(os, "classify ", classify);
   os << "  decision-value: count=" << decision_values.count;
@@ -133,39 +165,35 @@ std::string MetricsSnapshot::to_text() const {
   return os.str();
 }
 
+void MetricsSnapshot::counter_fields(std::ostream& os,
+                                     std::string_view group) const {
+  bool first = true;
+  for (const CounterRow& row : CounterTable::kRows) {
+    if (row.group != group) continue;
+    if (!first) os << ",";
+    first = false;
+    os << "\"" << row.key << "\":" << this->*row.field;
+  }
+}
+
 std::string MetricsSnapshot::to_json() const {
   std::ostringstream os;
-  os << "{\"events\":{\"ingested\":" << events_ingested
-     << ",\"processed\":" << events_processed
-     << ",\"dropped\":" << events_dropped
-     << ",\"rejected\":" << events_rejected
-     << ",\"quarantined\":" << events_quarantined
-     << ",\"failed\":" << events_failed
-     << ",\"shed\":" << events_shed << "}"
-     << ",\"windows\":{\"scored\":" << windows_scored
-     << ",\"benign\":" << verdicts_benign
-     << ",\"malicious\":" << verdicts_malicious << "}"
-     << ",\"sessions\":{\"opened\":" << sessions_opened
-     << ",\"closed\":" << sessions_closed
-     << ",\"quarantined\":" << sessions_quarantined
-     << ",\"evicted\":" << sessions_evicted << "}"
-     << ",\"queues\":{\"high_water\":" << queue_high_water
-     << ",\"batches\":" << batches_drained
-     << ",\"shed_activations\":" << shed_activations
-     << ",\"registry_retries\":" << registry_retries << "},";
-  histogram_json(os, "queue_wait", queue_wait);
-  os << ",";
-  histogram_json(os, "classify", classify);
-  char dv[256];
-  std::snprintf(dv, sizeof dv,
-                ",\"decision_value\":{\"count\":%llu,\"sum\":%.9g,"
-                "\"min\":%.9g,\"max\":%.9g,\"q50\":%.9g,\"q90\":%.9g,"
-                "\"q99\":%.9g}",
-                static_cast<unsigned long long>(decision_values.count),
-                decision_values.sum, decision_values.min,
-                decision_values.max, decision_values.q50,
-                decision_values.q90, decision_values.q99);
-  os << dv << "}";
+  os << "{";
+  std::string_view group;
+  for (const CounterRow& row : CounterTable::kRows) {
+    if (row.group == group) continue;
+    group = row.group;
+    os << "\"" << group << "\":{";
+    counter_fields(os, group);
+    os << "},";
+  }
+  os << "\"queue_wait\":{";
+  obs::json::histogram_fields(os, queue_wait);
+  os << "},\"classify\":{";
+  obs::json::histogram_fields(os, classify);
+  os << "},\"decision_value\":{";
+  obs::json::summary_fields(os, decision_values);
+  os << "}}";
   return os.str();
 }
 
@@ -173,58 +201,11 @@ obs::MetricRegistry::Registration ServerMetrics::register_with(
     obs::MetricRegistry& registry) const {
   return registry.register_collector([this](
                                          std::vector<obs::MetricSample>& out) {
-    const auto counter = [&out](const char* name, const char* help,
-                                std::uint64_t value) {
-      obs::MetricSample s;
-      s.name = name;
-      s.help = help;
-      s.type = obs::MetricType::kCounter;
-      s.counter_value = value;
-      out.push_back(std::move(s));
-    };
     const MetricsSnapshot snap = snapshot();
-    counter("leaps_serve_events_ingested_total", "events accepted by submit",
-            snap.events_ingested);
-    counter("leaps_serve_events_processed_total", "events classified",
-            snap.events_processed);
-    counter("leaps_serve_events_dropped_total",
-            "events evicted from a queue before feed", snap.events_dropped);
-    counter("leaps_serve_events_rejected_total",
-            "submits refused (unknown session / stopped server)",
-            snap.events_rejected);
-    counter("leaps_serve_events_quarantined_total",
-            "events failed or skipped in feed_run", snap.events_quarantined);
-    counter("leaps_serve_events_failed_total",
-            "events that threw during classification", snap.events_failed);
-    counter("leaps_serve_events_shed_total",
-            "events dropped while shedding engaged", snap.events_shed);
-    counter("leaps_serve_windows_scored_total", "windows classified",
-            snap.windows_scored);
-    counter("leaps_serve_verdicts_benign_total", "benign window verdicts",
-            snap.verdicts_benign);
-    counter("leaps_serve_verdicts_malicious_total",
-            "malicious window verdicts", snap.verdicts_malicious);
-    counter("leaps_serve_batches_drained_total", "worker batch drains",
-            snap.batches_drained);
-    counter("leaps_serve_sessions_opened_total", "sessions opened",
-            snap.sessions_opened);
-    counter("leaps_serve_sessions_closed_total", "sessions closed",
-            snap.sessions_closed);
-    counter("leaps_serve_sessions_quarantined_total",
-            "circuit-breaker trips", snap.sessions_quarantined);
-    counter("leaps_serve_sessions_evicted_total",
-            "sessions removed by the idle sweep", snap.sessions_evicted);
-    counter("leaps_serve_registry_retries_total",
-            "open_session registry re-lookups", snap.registry_retries);
-    counter("leaps_serve_shed_activations_total",
-            "times a shard entered shedding", snap.shed_activations);
-
-    obs::MetricSample hw;
-    hw.name = "leaps_serve_queue_high_water";
-    hw.help = "deepest any shard queue got (events)";
-    hw.type = obs::MetricType::kGauge;
-    hw.gauge_value = static_cast<std::int64_t>(snap.queue_high_water);
-    out.push_back(std::move(hw));
+    for (const CounterRow& row : CounterTable::kRows) {
+      out.push_back(obs::scalar_sample(row.type, row.prometheus, row.help,
+                                       snap.*row.field));
+    }
 
     obs::MetricSample qw;
     qw.name = "leaps_serve_queue_wait_us";

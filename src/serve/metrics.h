@@ -6,11 +6,18 @@
 // path, so all mutation is relaxed-atomic; a snapshot is a best-effort
 // consistent read (counters may be mid-update relative to each other,
 // which is fine for operational metrics).
+//
+// Which counters exist is decided once, by the counter table in
+// metrics.cc (atomic, snapshot field, JSON group and key, Prometheus name
+// and help); every rendering loops over it. Adding a counter means adding
+// an atomic, a snapshot field and one row.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "obs/histogram.h"
 #include "obs/registry.h"
@@ -52,6 +59,11 @@ struct MetricsSnapshot {
 
   std::string to_text() const;
   std::string to_json() const;
+
+  /// The `"key":value` members of one counter group ("events", "windows",
+  /// "sessions" or "queues"), without braces — for documents that lay
+  /// the groups out differently (the live status file).
+  void counter_fields(std::ostream& os, std::string_view group) const;
 };
 
 /// The live counters. Shared by the server, its workers, and any
@@ -102,6 +114,7 @@ class ServerMetrics {
       obs::MetricRegistry& registry) const;
 
  private:
+  friend struct CounterTable;  // metrics.cc: one row per counter
   std::atomic<std::uint64_t> queue_high_water_{0};
 };
 

@@ -72,40 +72,32 @@ TokenTable& TokenTable::global() {
         obs::MetricRegistry::global().register_collector(
             [t](std::vector<obs::MetricSample>& out) {
               const Stats s = t->stats();
-              const auto gauge = [&out](const char* name, const char* help,
-                                        std::uint64_t v) {
-                obs::MetricSample m;
-                m.name = name;
-                m.help = help;
-                m.type = obs::MetricType::kGauge;
-                m.gauge_value = static_cast<std::int64_t>(v);
-                out.push_back(std::move(m));
-              };
-              gauge("leaps_trace_token_table_system_stacks",
-                    "distinct system-stack sequences interned",
-                    s.system_stacks);
-              gauge("leaps_trace_token_table_app_stacks",
-                    "distinct app-stack address sequences interned",
-                    s.app_stacks);
-              gauge("leaps_trace_token_table_lib_sets",
-                    "distinct Lib sets interned", s.lib_sets);
-              gauge("leaps_trace_token_table_func_sets",
-                    "distinct Func sets interned", s.func_sets);
-              gauge("leaps_trace_token_table_bytes_retained",
-                    "approximate heap bytes pinned by interned tokens",
-                    s.bytes_retained);
-              obs::MetricSample hits;
-              hits.name = "leaps_trace_token_table_hits_total";
-              hits.help = "compact() calls served fully from cache";
-              hits.type = obs::MetricType::kCounter;
-              hits.counter_value = s.hits;
-              out.push_back(std::move(hits));
-              obs::MetricSample interned;
-              interned.name = "leaps_trace_token_table_interned_total";
-              interned.help = "compact() calls that added a token";
-              interned.type = obs::MetricType::kCounter;
-              interned.counter_value = s.interned;
-              out.push_back(std::move(interned));
+              using obs::MetricType;
+              out.push_back(obs::scalar_sample(
+                  MetricType::kGauge, "leaps_trace_token_table_system_stacks",
+                  "distinct system-stack sequences interned",
+                  s.system_stacks));
+              out.push_back(obs::scalar_sample(
+                  MetricType::kGauge, "leaps_trace_token_table_app_stacks",
+                  "distinct app-stack address sequences interned",
+                  s.app_stacks));
+              out.push_back(obs::scalar_sample(
+                  MetricType::kGauge, "leaps_trace_token_table_lib_sets",
+                  "distinct Lib sets interned", s.lib_sets));
+              out.push_back(obs::scalar_sample(
+                  MetricType::kGauge, "leaps_trace_token_table_func_sets",
+                  "distinct Func sets interned", s.func_sets));
+              out.push_back(obs::scalar_sample(
+                  MetricType::kGauge, "leaps_trace_token_table_bytes_retained",
+                  "approximate heap bytes pinned by interned tokens",
+                  s.bytes_retained));
+              out.push_back(obs::scalar_sample(
+                  MetricType::kCounter, "leaps_trace_token_table_hits_total",
+                  "compact() calls served fully from cache", s.hits));
+              out.push_back(obs::scalar_sample(
+                  MetricType::kCounter,
+                  "leaps_trace_token_table_interned_total",
+                  "compact() calls that added a token", s.interned));
             });
     return t;
   }();

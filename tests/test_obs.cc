@@ -7,8 +7,10 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -16,13 +18,19 @@
 
 #include <gtest/gtest.h>
 
+#include "attrib/matcher.h"
 #include "core/pipeline.h"
 #include "detector_fixture.h"
 #include "obs/histogram.h"
+#include "obs/json.h"
 #include "obs/registry.h"
 #include "obs/sketch.h"
 #include "obs/trace.h"
+#include "online/manager.h"
+#include "online/status.h"
+#include "serve/audit.h"
 #include "serve/metrics.h"
+#include "serve/server.h"
 
 namespace leaps::obs {
 namespace {
@@ -119,6 +127,8 @@ class JsonChecker {
     if (peek() != '"') return false;
     ++pos_;
     while (pos_ < s_.size() && s_[pos_] != '"') {
+      // JSON strings carry control characters only escaped.
+      if (static_cast<unsigned char>(s_[pos_]) < 0x20) return false;
       if (s_[pos_] == '\\') ++pos_;  // skip the escaped char
       ++pos_;
     }
@@ -168,6 +178,45 @@ TEST(JsonChecker, SanityOnTheCheckerItself) {
   EXPECT_FALSE(is_valid_json("{\"a\":}"));
   EXPECT_FALSE(is_valid_json("[1,2"));
   EXPECT_FALSE(is_valid_json("{} trailing"));
+  EXPECT_FALSE(is_valid_json("[\"raw\x01" "byte\"]"));
+  EXPECT_FALSE(is_valid_json("[nan]"));
+}
+
+// ---------------------------------------------------------------------------
+// The one JSON writer (obs/json.h)
+
+std::string json_quoted(std::string_view s) {
+  std::ostringstream os;
+  json::quote(os, s);
+  return os.str();
+}
+
+std::string json_number(double v) {
+  std::ostringstream os;
+  json::number(os, v);
+  return os.str();
+}
+
+TEST(JsonWriter, QuoteEscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_quoted("plain"), "\"plain\"");
+  EXPECT_EQ(json_quoted("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(json_quoted(std::string("\x01\n\t\x1f", 4)),
+            "\"\\u0001\\u000a\\u0009\\u001f\"");
+  EXPECT_EQ(json_quoted(std::string_view("\0", 1)), "\"\\u0000\"");
+  // UTF-8 and DEL pass through untouched.
+  EXPECT_EQ(json_quoted("caf\xc3\xa9\x7f"), "\"caf\xc3\xa9\x7f\"");
+  EXPECT_TRUE(is_valid_json("[" + json_quoted("a\"b\x01\\") + "]"));
+}
+
+TEST(JsonWriter, NumbersUseNineSignificantDigitsAndNullWhenNonFinite) {
+  EXPECT_EQ(json_number(1.375), "1.375");
+  EXPECT_EQ(json_number(-2), "-2");
+  EXPECT_EQ(json_number(0.1), "0.1");
+  EXPECT_EQ(json_number(1.0 / 3.0), "0.333333333");
+  EXPECT_EQ(json_number(123456789012.0), "1.23456789e+11");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity()), "null");
 }
 
 // ---------------------------------------------------------------------------
@@ -337,16 +386,403 @@ TEST(Registry, ServerMetricsRegisterWithExposesServeCounters) {
   EXPECT_TRUE(is_valid_json(r.to_json()));
 }
 
-TEST(Registry, MetricsSnapshotJsonCarriesFullBucketShape) {
+// ---------------------------------------------------------------------------
+// The serving-metrics contract. The expected strings pin every group, key,
+// Prometheus name, help text and number format that leaps-serve's reports,
+// CI and the tool-path benchmark read.
+
+/// Every counter holds a distinct value (1001… in declaration order, the
+/// high-water mark last), so a key bound to the wrong field shows.
+void fill_distinct(serve::ServerMetrics& m) {
+  std::uint64_t v = 1001;
+  for (std::atomic<std::uint64_t>* a :
+       {&m.events_ingested, &m.events_processed, &m.events_dropped,
+        &m.events_rejected, &m.events_quarantined, &m.events_failed,
+        &m.events_shed, &m.windows_scored, &m.verdicts_benign,
+        &m.verdicts_malicious, &m.batches_drained, &m.sessions_opened,
+        &m.sessions_closed, &m.sessions_quarantined, &m.sessions_evicted,
+        &m.registry_retries, &m.shed_activations}) {
+    a->store(v++);
+  }
+  m.note_queue_depth(v);
+  m.queue_wait.record_us(3);
+  m.queue_wait.record_us(200);
+  m.queue_wait.record_us(5000);
+  m.classify.record_us(40);
+  m.classify.record_us(41);
+  for (const double d : {-1.25, 0.5, 2.0, 0.125}) m.decision_values.observe(d);
+}
+
+TEST(ServeMetricsContract, TextReportIsPinned) {
   serve::ServerMetrics metrics;
-  metrics.classify.record_us(123);
+  fill_distinct(metrics);
+  EXPECT_EQ(metrics.snapshot().to_text(),
+            "serve metrics:\n"
+            "  events: ingested=1001 processed=1002 dropped=1003 "
+            "rejected=1004 quarantined=1005 failed=1006 shed=1007\n"
+            "  windows: scored=1008 benign=1009 malicious=1010\n"
+            "  sessions: opened=1012 closed=1013 quarantined=1014 "
+            "evicted=1015\n"
+            "  queues: high-water=1018 batches=1011 shed-activations=1017 "
+            "registry-retries=1016\n"
+            "  queue-wait us: count=3 mean=1734.3 p50<=255 p95<=8191 "
+            "p99<=8191 max=5000\n"
+            "  classify  us: count=2 mean=40.5 p50<=63 p95<=63 p99<=63 "
+            "max=41\n"
+            "  decision-value: count=4 min=-1.2500 q50=0.1250 q90=2.0000 "
+            "q99=2.0000 max=2.0000\n");
+}
+
+// Also pins the full bucket shape: 28 inclusive bounds with the saturated
+// last bucket as -1 (le="+Inf" in Prometheus), and 28 per-bucket counts.
+TEST(ServeMetricsContract, JsonReportIsPinned) {
+  serve::ServerMetrics metrics;
+  fill_distinct(metrics);
+  const std::string le_us =
+      "\"le_us\":[0,1,3,7,15,31,63,127,255,511,1023,2047,4095,8191,16383,"
+      "32767,65535,131071,262143,524287,1048575,2097151,4194303,8388607,"
+      "16777215,33554431,67108863,-1]";
   const std::string json = metrics.snapshot().to_json();
   EXPECT_TRUE(is_valid_json(json)) << json;
-  // The full bucket arrays (satellite of the registry work): 28 bounds
-  // with the saturated last bucket as -1, and 28 per-bucket counts.
-  EXPECT_NE(json.find("\"le_us\":[0,1,3,7,15"), std::string::npos);
-  EXPECT_NE(json.find(",-1]"), std::string::npos);
-  EXPECT_NE(json.find("\"buckets\":["), std::string::npos);
+  EXPECT_EQ(json,
+            "{\"events\":{\"ingested\":1001,\"processed\":1002,"
+            "\"dropped\":1003,\"rejected\":1004,\"quarantined\":1005,"
+            "\"failed\":1006,\"shed\":1007},"
+            "\"windows\":{\"scored\":1008,\"benign\":1009,"
+            "\"malicious\":1010},"
+            "\"sessions\":{\"opened\":1012,\"closed\":1013,"
+            "\"quarantined\":1014,\"evicted\":1015},"
+            "\"queues\":{\"high_water\":1018,\"batches\":1011,"
+            "\"shed_activations\":1017,\"registry_retries\":1016},"
+            "\"queue_wait\":{\"count\":3,\"total_us\":5203,\"max_us\":5000,"
+            "\"p50_us\":255,\"p95_us\":8191,\"p99_us\":8191," +
+                le_us +
+                ",\"buckets\":[0,0,1,0,0,0,0,0,1,0,0,0,0,1,0,0,0,0,0,0,0,0,"
+                "0,0,0,0,0,0]},"
+                "\"classify\":{\"count\":2,\"total_us\":81,\"max_us\":41,"
+                "\"p50_us\":63,\"p95_us\":63,\"p99_us\":63," +
+                le_us +
+                ",\"buckets\":[0,0,0,0,0,0,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+                "0,0,0,0,0,0]},"
+                "\"decision_value\":{\"count\":4,\"sum\":1.375,"
+                "\"min\":-1.25,\"max\":2,\"q50\":0.125,\"q90\":2,"
+                "\"q99\":2}}");
+}
+
+/// Every `leaps_serve_*` line of the exposition (headers included).
+constexpr const char* kGoldenServePrometheus = R"golden(
+# HELP leaps_serve_batches_drained_total worker batch drains
+# HELP leaps_serve_classify_us per drained run of one session
+# HELP leaps_serve_decision_value SVM decision values over scored windows (quantile sketch)
+# HELP leaps_serve_events_dropped_total events evicted from a queue before feed
+# HELP leaps_serve_events_failed_total events that threw during classification
+# HELP leaps_serve_events_ingested_total events accepted by submit
+# HELP leaps_serve_events_processed_total events classified
+# HELP leaps_serve_events_quarantined_total events failed or skipped in feed_run
+# HELP leaps_serve_events_rejected_total submits refused (unknown session / stopped server)
+# HELP leaps_serve_events_shed_total events dropped while shedding engaged
+# HELP leaps_serve_queue_high_water deepest any shard queue got (events)
+# HELP leaps_serve_queue_wait_us enqueue to worker dequeue latency
+# HELP leaps_serve_registry_retries_total open_session registry re-lookups
+# HELP leaps_serve_sessions_closed_total sessions closed
+# HELP leaps_serve_sessions_evicted_total sessions removed by the idle sweep
+# HELP leaps_serve_sessions_opened_total sessions opened
+# HELP leaps_serve_sessions_quarantined_total circuit-breaker trips
+# HELP leaps_serve_shed_activations_total times a shard entered shedding
+# HELP leaps_serve_verdicts_benign_total benign window verdicts
+# HELP leaps_serve_verdicts_malicious_total malicious window verdicts
+# HELP leaps_serve_windows_scored_total windows classified
+# TYPE leaps_serve_batches_drained_total counter
+# TYPE leaps_serve_classify_us histogram
+# TYPE leaps_serve_decision_value summary
+# TYPE leaps_serve_events_dropped_total counter
+# TYPE leaps_serve_events_failed_total counter
+# TYPE leaps_serve_events_ingested_total counter
+# TYPE leaps_serve_events_processed_total counter
+# TYPE leaps_serve_events_quarantined_total counter
+# TYPE leaps_serve_events_rejected_total counter
+# TYPE leaps_serve_events_shed_total counter
+# TYPE leaps_serve_queue_high_water gauge
+# TYPE leaps_serve_queue_wait_us histogram
+# TYPE leaps_serve_registry_retries_total counter
+# TYPE leaps_serve_sessions_closed_total counter
+# TYPE leaps_serve_sessions_evicted_total counter
+# TYPE leaps_serve_sessions_opened_total counter
+# TYPE leaps_serve_sessions_quarantined_total counter
+# TYPE leaps_serve_shed_activations_total counter
+# TYPE leaps_serve_verdicts_benign_total counter
+# TYPE leaps_serve_verdicts_malicious_total counter
+# TYPE leaps_serve_windows_scored_total counter
+leaps_serve_batches_drained_total 1011
+leaps_serve_classify_us_bucket{le="+Inf"} 2
+leaps_serve_classify_us_bucket{le="0"} 0
+leaps_serve_classify_us_bucket{le="1"} 0
+leaps_serve_classify_us_bucket{le="1023"} 2
+leaps_serve_classify_us_bucket{le="1048575"} 2
+leaps_serve_classify_us_bucket{le="127"} 2
+leaps_serve_classify_us_bucket{le="131071"} 2
+leaps_serve_classify_us_bucket{le="15"} 0
+leaps_serve_classify_us_bucket{le="16383"} 2
+leaps_serve_classify_us_bucket{le="16777215"} 2
+leaps_serve_classify_us_bucket{le="2047"} 2
+leaps_serve_classify_us_bucket{le="2097151"} 2
+leaps_serve_classify_us_bucket{le="255"} 2
+leaps_serve_classify_us_bucket{le="262143"} 2
+leaps_serve_classify_us_bucket{le="3"} 0
+leaps_serve_classify_us_bucket{le="31"} 0
+leaps_serve_classify_us_bucket{le="32767"} 2
+leaps_serve_classify_us_bucket{le="33554431"} 2
+leaps_serve_classify_us_bucket{le="4095"} 2
+leaps_serve_classify_us_bucket{le="4194303"} 2
+leaps_serve_classify_us_bucket{le="511"} 2
+leaps_serve_classify_us_bucket{le="524287"} 2
+leaps_serve_classify_us_bucket{le="63"} 2
+leaps_serve_classify_us_bucket{le="65535"} 2
+leaps_serve_classify_us_bucket{le="67108863"} 2
+leaps_serve_classify_us_bucket{le="7"} 0
+leaps_serve_classify_us_bucket{le="8191"} 2
+leaps_serve_classify_us_bucket{le="8388607"} 2
+leaps_serve_classify_us_count 2
+leaps_serve_classify_us_sum 81
+leaps_serve_decision_value_count 4
+leaps_serve_decision_value_sum 1.375
+leaps_serve_decision_value{quantile="0.5"} 0.125
+leaps_serve_decision_value{quantile="0.9"} 2
+leaps_serve_decision_value{quantile="0.99"} 2
+leaps_serve_events_dropped_total 1003
+leaps_serve_events_failed_total 1006
+leaps_serve_events_ingested_total 1001
+leaps_serve_events_processed_total 1002
+leaps_serve_events_quarantined_total 1005
+leaps_serve_events_rejected_total 1004
+leaps_serve_events_shed_total 1007
+leaps_serve_queue_high_water 1018
+leaps_serve_queue_wait_us_bucket{le="+Inf"} 3
+leaps_serve_queue_wait_us_bucket{le="0"} 0
+leaps_serve_queue_wait_us_bucket{le="1"} 0
+leaps_serve_queue_wait_us_bucket{le="1023"} 2
+leaps_serve_queue_wait_us_bucket{le="1048575"} 3
+leaps_serve_queue_wait_us_bucket{le="127"} 1
+leaps_serve_queue_wait_us_bucket{le="131071"} 3
+leaps_serve_queue_wait_us_bucket{le="15"} 1
+leaps_serve_queue_wait_us_bucket{le="16383"} 3
+leaps_serve_queue_wait_us_bucket{le="16777215"} 3
+leaps_serve_queue_wait_us_bucket{le="2047"} 2
+leaps_serve_queue_wait_us_bucket{le="2097151"} 3
+leaps_serve_queue_wait_us_bucket{le="255"} 2
+leaps_serve_queue_wait_us_bucket{le="262143"} 3
+leaps_serve_queue_wait_us_bucket{le="3"} 1
+leaps_serve_queue_wait_us_bucket{le="31"} 1
+leaps_serve_queue_wait_us_bucket{le="32767"} 3
+leaps_serve_queue_wait_us_bucket{le="33554431"} 3
+leaps_serve_queue_wait_us_bucket{le="4095"} 2
+leaps_serve_queue_wait_us_bucket{le="4194303"} 3
+leaps_serve_queue_wait_us_bucket{le="511"} 2
+leaps_serve_queue_wait_us_bucket{le="524287"} 3
+leaps_serve_queue_wait_us_bucket{le="63"} 1
+leaps_serve_queue_wait_us_bucket{le="65535"} 3
+leaps_serve_queue_wait_us_bucket{le="67108863"} 3
+leaps_serve_queue_wait_us_bucket{le="7"} 1
+leaps_serve_queue_wait_us_bucket{le="8191"} 3
+leaps_serve_queue_wait_us_bucket{le="8388607"} 3
+leaps_serve_queue_wait_us_count 3
+leaps_serve_queue_wait_us_sum 5203
+leaps_serve_registry_retries_total 1016
+leaps_serve_sessions_closed_total 1013
+leaps_serve_sessions_evicted_total 1015
+leaps_serve_sessions_opened_total 1012
+leaps_serve_sessions_quarantined_total 1014
+leaps_serve_shed_activations_total 1017
+leaps_serve_verdicts_benign_total 1009
+leaps_serve_verdicts_malicious_total 1010
+leaps_serve_windows_scored_total 1008
+)golden";
+
+TEST(ServeMetricsContract, PrometheusLinesArePinned) {
+  serve::ServerMetrics metrics;
+  fill_distinct(metrics);
+  MetricRegistry r;
+  const MetricRegistry::Registration reg = metrics.register_with(r);
+  const auto serve_lines = [](const std::string& text) {
+    std::set<std::string> out;
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+      std::size_t end = text.find('\n', pos);
+      if (end == std::string::npos) end = text.size();
+      const std::string line = text.substr(pos, end - pos);
+      if (line.find("leaps_serve_") != std::string::npos) out.insert(line);
+      pos = end + 1;
+    }
+    return out;
+  };
+  EXPECT_EQ(serve_lines(r.to_prometheus()),
+            serve_lines(kGoldenServePrometheus));
+}
+
+TEST(ServeMetricsContract, NonFiniteValuesStayValidJson) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  MetricRegistry r;
+  Summary& s = r.summary("leaps_test_nonfinite", "non-finite observations");
+  s.observe(inf);
+  s.observe(nan);
+  const std::string registry_json = r.to_json();
+  EXPECT_TRUE(is_valid_json(registry_json)) << registry_json;
+
+  serve::ServerMetrics metrics;
+  metrics.decision_values.observe(inf);
+  metrics.decision_values.observe(nan);
+  const std::string json = metrics.snapshot().to_json();
+  EXPECT_TRUE(is_valid_json(json)) << json;
+  EXPECT_NE(json.find("null"), std::string::npos) << json;
+  // Prometheus keeps its own spellings for the non-finite values.
+  const MetricRegistry::Registration reg = metrics.register_with(r);
+  const std::string text = r.to_prometheus();
+  EXPECT_NE(text.find("leaps_serve_decision_value_sum NaN\n"),
+            std::string::npos)
+      << text;
+}
+
+// ---------------------------------------------------------------------------
+// The live status document (online/status.h).
+
+/// Scalar at `group.key` the way leaps-top reads it: the first
+/// `"group":{...}` object, then the first `"key":` inside it (quotes
+/// stripped; "?" when absent).
+std::string status_field(const std::string& doc, const std::string& group,
+                         const std::string& key) {
+  const std::size_t open = doc.find("\"" + group + "\":{");
+  if (open == std::string::npos) return "?";
+  std::size_t close = doc.find('{', open);
+  for (int depth = 0; close < doc.size(); ++close) {
+    if (doc[close] == '{') ++depth;
+    if (doc[close] == '}' && --depth == 0) break;
+  }
+  const std::string scope = doc.substr(open, close - open + 1);
+  const std::size_t at = scope.find("\"" + key + "\":");
+  if (at == std::string::npos) return "?";
+  const std::size_t begin = at + key.size() + 3;
+  const std::size_t end = scope.find_first_of(",}]", begin);
+  std::string v = scope.substr(begin, end - begin);
+  if (!v.empty() && v.front() == '"') v = v.substr(1, v.size() - 2);
+  return v;
+}
+
+/// Decodes the JSON string that starts at `doc[pos]` (the opening quote).
+/// Handles the escapes the writers emit: \" \\ and \u00XX.
+std::string decode_json_string(const std::string& doc, std::size_t pos) {
+  std::string out;
+  for (++pos; pos < doc.size() && doc[pos] != '"'; ++pos) {
+    if (doc[pos] != '\\') {
+      out.push_back(doc[pos]);
+      continue;
+    }
+    ++pos;
+    if (doc[pos] == 'u') {
+      out.push_back(
+          static_cast<char>(std::stoi(doc.substr(pos + 1, 4), nullptr, 16)));
+      pos += 4;
+    } else {
+      out.push_back(doc[pos]);
+    }
+  }
+  return out;
+}
+
+TEST(StatusJson, CarriesEveryKeyLeapsTopReads) {
+  const testing::TrainedDetector trained = testing::train_small_detector(
+      "vim_reverse_tcp_online", /*events=*/600, /*seed=*/11,
+      /*with_continual=*/true);
+  serve::DetectionServer server;
+  server.registry().add("default", trained.detector);
+  fill_distinct(server.metrics());
+  online::OnlineOptions options;
+  options.drift.enabled = true;
+  const online::OnlineManager manager(&server, options);
+  const serve::AuditLog audit(serve::AuditOptions{});
+
+  const std::string doc = online::render_status_json(
+      {.server = &server, .manager = &manager, .audit = &audit});
+  EXPECT_TRUE(is_valid_json(doc)) << doc;
+
+  // The serving blocks carry the metrics' own values.
+  const std::map<std::pair<std::string, std::string>, std::string> serving = {
+      {{"sessions", "active"}, "0"},
+      {{"sessions", "opened"}, "1012"},
+      {{"sessions", "closed"}, "1013"},
+      {{"sessions", "quarantined"}, "1014"},
+      {{"sessions", "evicted"}, "1015"},
+      {{"events", "ingested"}, "1001"},
+      {{"events", "processed"}, "1002"},
+      {{"events", "dropped"}, "1003"},
+      {{"events", "rejected"}, "1004"},
+      {{"events", "quarantined"}, "1005"},
+      {{"events", "shed"}, "1007"},
+      {{"windows", "scored"}, "1008"},
+      {{"windows", "benign"}, "1009"},
+      {{"windows", "malicious"}, "1010"},
+      {{"queues", "high_water"}, "1018"},
+      {{"queues", "batches"}, "1011"},
+      {{"queues", "shed_activations"}, "1017"},
+      {{"queues", "wait_p99_us"}, "8191"},
+      {{"decision_value", "count"}, "4"},
+      {{"decision_value", "q50"}, "0.125"},
+      {{"decision_value", "q90"}, "2"},
+      {{"decision_value", "q99"}, "2"},
+      {{"decision_value", "min"}, "-1.25"},
+      {{"decision_value", "max"}, "2"},
+      {{"online", "phase"}, "accumulating"},
+      {{"drift", "enabled"}, "true"},
+      {{"drift", "reference_frozen"}, "false"},
+      {{"drift", "trigger_pending"}, "false"},
+      {{"audit", "written"}, "0"},
+      {{"audit", "dropped"}, "0"},
+  };
+  for (const auto& [field, value] : serving) {
+    EXPECT_EQ(status_field(doc, field.first, field.second), value)
+        << field.first << "." << field.second << " in " << doc;
+  }
+  // The rest of what leaps-top renders must be present.
+  for (const auto& [group, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"online", "retrain_cycles"},
+           {"online", "retrain_failures"},
+           {"online", "promotions"},
+           {"online", "rollbacks"},
+           {"online", "drift_retrains"},
+           {"drift", "generation"},
+           {"drift", "reference_size"},
+           {"drift", "live_size"},
+           {"drift", "ks"},
+           {"drift", "p_value"},
+           {"drift", "triggers"}}) {
+    EXPECT_NE(status_field(doc, group, key), "?")
+        << group << "." << key << " in " << doc;
+  }
+}
+
+TEST(StatusJson, UntrustedNamesAreEscaped) {
+  attrib::CampaignSignature sig;
+  sig.name = "a\"b\x01" "c";
+  attrib::TechniqueNode node;
+  node.name = "n";
+  node.event_types = {trace::EventType::kFileRead};
+  sig.nodes.push_back(node);
+  attrib::SignatureLibrary library;
+  library.add(sig);
+  attrib::FleetAttributor attributor(&library);
+  attributor.observe({"h\\o\"st", 7}, 0, -1, -2.0, nullptr, 0);
+
+  serve::DetectionServer server;
+  const std::string doc = online::render_status_json(
+      {.server = &server, .attrib = &attributor});
+  EXPECT_TRUE(is_valid_json(doc)) << doc;
+  const std::size_t sig_at = doc.find("\"signature\":");
+  ASSERT_NE(sig_at, std::string::npos) << doc;
+  EXPECT_EQ(decode_json_string(doc, sig_at + 12), sig.name);
+  const std::size_t key_at = doc.find("\"session\":");
+  ASSERT_NE(key_at, std::string::npos) << doc;
+  EXPECT_EQ(decode_json_string(doc, key_at + 10), "h\\o\"st:7");
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,24 @@ function(run_checked expect_rc)
     message(FATAL_ERROR "command [${ARGN}] exited ${rc} (expected "
                         "${expect_rc})\nstdout:\n${out}\nstderr:\n${err}")
   endif()
+  set(run_stdout "${out}" PARENT_SCOPE)
+endfunction()
+
+# Fails unless `json`'s events object closes the accounting identity
+# ingested == processed + dropped + quarantined. string(JSON) needs CMake
+# 3.19 (the project minimum is 3.16), and it also fails on invalid JSON.
+function(check_event_identity what json)
+  if(CMAKE_VERSION VERSION_LESS 3.19)
+    return()
+  endif()
+  foreach(key ingested processed dropped quarantined)
+    string(JSON ${key} GET "${json}" events ${key})
+  endforeach()
+  math(EXPR accounted "${processed} + ${dropped} + ${quarantined}")
+  if(NOT ingested EQUAL accounted)
+    message(FATAL_ERROR "${what}: ingested=${ingested} but processed + "
+                        "dropped + quarantined = ${accounted}:\n${json}")
+  endif()
 endfunction()
 
 file(REMOVE_RECURSE ${WORK_DIR})
@@ -50,6 +68,14 @@ run_checked(3 ${LEAPS_SERVE} ${WORK_DIR}/detector.txt
             ${WORK_DIR}/bin/malicious.log --workers 2 --sessions 4)
 run_checked(0 ${LEAPS_SERVE} ${WORK_DIR}/detector.txt ${WORK_DIR}/benign.log
             --workers 2 --policy drop-oldest --json)
+# The --json report is one line starting with {"events" — the line the
+# tool-path benchmark (toolbench/run.py) parses.
+string(REGEX MATCH "(^|\n)({\"events\"[^\n]*)" report_line "${run_stdout}")
+if(report_line STREQUAL "")
+  message(FATAL_ERROR "--json printed no line starting with {\"events\":\n"
+                      "${run_stdout}")
+endif()
+check_event_identity("--json report" "${CMAKE_MATCH_2}")
 
 # --- observability flags -----------------------------------------------------
 # Every tool honours --trace-out / --profile / --metrics-out without
@@ -177,6 +203,13 @@ run_checked(3 ${LEAPS_SERVE} ${WORK_DIR}/camp/detector.txt
             --status-json ${WORK_DIR}/camp/status.json --workers 2)
 
 file(READ ${WORK_DIR}/camp/status.json camp_status)
+check_event_identity("--status-json" "${camp_status}")
+if(NOT CMAKE_VERSION VERSION_LESS 3.19)
+  string(JSON active GET "${camp_status}" sessions active)
+  if(NOT active MATCHES "^[0-9]+$")
+    message(FATAL_ERROR "--status-json sessions.active is '${active}'")
+  endif()
+endif()
 if(NOT camp_status MATCHES "\"type\":\"AttributionVerdict\"" OR
    NOT camp_status MATCHES "\"signature\":\"campaign_putty_apt\"")
   message(FATAL_ERROR "--status-json carries no AttributionVerdict:\n"
