@@ -73,17 +73,17 @@ void BM_SerializeRawLog(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializeRawLog);
 
-void BM_ParseRawLogText(benchmark::State& state) {
+void BM_DecodeRawLogText(benchmark::State& state) {
   const auto& logs = cached_logs(2000);
   const std::string text = trace::raw_log_to_string(logs.benign);
-  const trace::RawLogParser parser;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(parser.parse_string(text));
+    std::istringstream is(text);
+    benchmark::DoNotOptimize(trace::read_raw_log_text(is));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(text.size()));
 }
-BENCHMARK(BM_ParseRawLogText);
+BENCHMARK(BM_DecodeRawLogText);
 
 void BM_StackPartition(benchmark::State& state) {
   const auto& logs = cached_logs(2000);

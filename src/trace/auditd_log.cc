@@ -1,61 +1,29 @@
 #include "trace/auditd_log.h"
 
 #include <cstdio>
-#include <istream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "obs/registry.h"
-#include "util/fault.h"
+#include "trace/module_map.h"
+#include "trace/reader.h"
 #include "util/strings.h"
 
 namespace leaps::trace {
 
 namespace {
 
-using util::parse_hex_u64;
 using util::split;
 using util::split_ws;
 using util::starts_with;
-using util::trim;
 
 // Deterministic fake clock for the writer: auditd stamps records with
 // wall time, the simulator has none, so records tick one millisecond per
 // serial from a fixed epoch. The parser never reads the timestamp.
 constexpr std::uint64_t kEpoch = 1700000000;
-
-/// Internal parse error; converted to kCorruptInput at the API boundary.
-/// Carries both the 1-based line number and the byte offset of the start
-/// of the offending line (the binary dialect's offset discipline).
-class AuditdError : public std::runtime_error {
- public:
-  AuditdError(std::size_t line, std::size_t byte, const std::string& what)
-      : std::runtime_error("auditd log parse error at line " +
-                           std::to_string(line) + " (byte " +
-                           std::to_string(byte) + "): " + what) {}
-};
-
-obs::Counter& ingest_events_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_ingest_events_total", "raw events decoded from ingested logs");
-  return c;
-}
-
-obs::Counter& ingest_bytes_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_ingest_bytes_total", "bytes consumed decoding ingested logs");
-  return c;
-}
-
-obs::Counter& ingest_corrupt_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_ingest_corrupt_total", "ingest attempts rejected as corrupt");
-  return c;
-}
 
 void append_record_prefix(std::ostream& os, const char* kind,
                           std::uint64_t& serial) {
@@ -67,19 +35,12 @@ void append_record_prefix(std::ostream& os, const char* kind,
   os << "type=" << kind << " msg=audit(" << ts << ":" << s << "): ";
 }
 
-/// Line-by-line state machine over the auditd record grammar.
-class AuditdParserState {
+/// The auditd record grammar, one record at a time.
+class AuditdDecoder final : public LineDecoder {
  public:
-  RawLog finish() && {
-    flush_event();
-    return std::move(log_);
-  }
+  RawLog take() && { return std::move(log_); }
 
-  void consume(std::string_view line, std::size_t lineno, std::size_t byte) {
-    lineno_ = lineno;
-    byte_ = byte;
-    line = trim(line);
-    if (line.empty() || line.front() == '#') return;
+  void record(std::string_view line) override {
     const auto tokens = split_ws(line);
     require(tokens.size() >= 2, "truncated record");
     require(starts_with(tokens[0], "type="), "record without type=");
@@ -90,7 +51,7 @@ class AuditdParserState {
             "malformed msg=audit(ts:serial) field");
 
     // The remaining tokens are k=v fields; values may be double-quoted.
-    std::vector<std::pair<std::string_view, std::string_view>> fields;
+    fields_.clear();
     for (std::size_t i = 2; i < tokens.size(); ++i) {
       const auto eq = tokens[i].find('=');
       require(eq != std::string_view::npos && eq > 0,
@@ -102,48 +63,51 @@ class AuditdParserState {
         require(value.find('"') == std::string_view::npos,
                 "unterminated quoted value");
       }
-      fields.emplace_back(tokens[i].substr(0, eq), value);
+      fields_.emplace_back(tokens[i].substr(0, eq), value);
     }
 
     if (kind == "DAEMON_START") {
-      log_.process_name = std::string(field(fields, "comm"));
+      log_.process_name = std::string(field("comm"));
     } else if (kind == "MMAP") {
       RawModule m;
-      m.base = parse_addr(field(fields, "addr"));
-      m.size = parse_addr(field(fields, "len"));
-      m.name = std::string(field(fields, "name"));
+      m.base = hex(field("addr"), "value");
+      m.size = hex(field("len"), "value");
+      m.name = std::string(field("name"));
       require(m.size > 0, "MMAP with zero len");
+      require_ok(header_.try_add_module({m.name, m.base, m.size}));
       log_.modules.push_back(std::move(m));
     } else if (kind == "SYM") {
-      RawSymbol s;
-      s.address = parse_addr(field(fields, "addr"));
-      s.function = std::string(field(fields, "name"));
-      log_.symbols.push_back(std::move(s));
+      RawSymbol sym;
+      sym.address = hex(field("addr"), "value");
+      sym.function = std::string(field("name"));
+      require_ok(header_.try_add_symbol(sym.address, sym.function));
+      log_.symbols.push_back(std::move(sym));
     } else if (kind == "SYSCALL") {
-      flush_event();
-      current_.emplace();
-      current_->seq = parse_dec(field(fields, "seq"));
-      current_->tid = static_cast<std::uint32_t>(
-          parse_dec(field(fields, "tid")));
+      RawEvent& e = log_.events.emplace_back();
+      e.seq = dec(field("seq"));
+      e.tid = dec_u32(field("tid"), "tid");
       // The audit filter key carries the exact event-type name; the
       // syscall number is the fallback for foreign captures without keys.
-      const std::string_view key = field(fields, "key", /*required=*/false);
+      const std::string_view key = field("key", /*required=*/false);
       if (!key.empty()) {
         const auto type = event_type_from_name(key);
         require(type.has_value(), "unknown audit key");
-        current_->type = *type;
+        e.type = *type;
       } else {
-        const auto type = auditd_event_type(static_cast<int>(
-            parse_dec(field(fields, "syscall"))));
+        const std::uint64_t syscall = dec(field("syscall"));
+        const auto type =
+            syscall <= std::numeric_limits<int>::max()
+                ? auditd_event_type(static_cast<int>(syscall))
+                : std::nullopt;
         require(type.has_value(), "unmapped syscall number");
-        current_->type = *type;
+        e.type = *type;
       }
     } else if (kind == "BACKTRACE") {
-      require(current_.has_value(), "BACKTRACE before any SYSCALL");
-      const std::string_view frames = field(fields, "frames");
+      require(!log_.events.empty(), "BACKTRACE before any SYSCALL");
+      const std::string_view frames = field("frames");
       if (!frames.empty()) {
         for (const std::string_view f : split(frames, ',')) {
-          current_->stack.push_back(parse_addr(f));
+          log_.events.back().stack.push_back(hex(f, "value"));
         }
       }
     } else {
@@ -151,52 +115,20 @@ class AuditdParserState {
     }
   }
 
- private:
-  void flush_event() {
-    if (current_.has_value()) {
-      log_.events.push_back(std::move(*current_));
-      current_.reset();
-    }
-  }
+  std::size_t finish() override { return log_.events.size(); }
 
-  std::string_view field(
-      const std::vector<std::pair<std::string_view, std::string_view>>& fs,
-      std::string_view key, bool required = true) {
-    for (const auto& [k, v] : fs) {
+ private:
+  std::string_view field(std::string_view key, bool required = true) const {
+    for (const auto& [k, v] : fields_) {
       if (k == key) return v;
     }
     if (required) fail("missing field '" + std::string(key) + "'");
     return {};
   }
 
-  std::uint64_t parse_addr(std::string_view s) {
-    std::uint64_t v = 0;
-    if (!parse_hex_u64(s, v)) fail("bad hex value '" + std::string(s) + "'");
-    return v;
-  }
-
-  std::uint64_t parse_dec(std::string_view s) {
-    std::uint64_t v = 0;
-    if (s.empty()) fail("empty decimal");
-    for (char c : s) {
-      if (c < '0' || c > '9') fail("bad decimal '" + std::string(s) + "'");
-      v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return v;
-  }
-
-  void require(bool cond, const std::string& what) {
-    if (!cond) fail(what);
-  }
-
-  [[noreturn]] void fail(const std::string& what) {
-    throw AuditdError(lineno_, byte_, what);
-  }
-
   RawLog log_;
-  std::optional<RawEvent> current_;
-  std::size_t lineno_ = 0;
-  std::size_t byte_ = 0;
+  ModuleMap header_;  // validates MMAP/SYM records as they arrive
+  std::vector<std::pair<std::string_view, std::string_view>> fields_;
 };
 
 }  // namespace
@@ -289,29 +221,10 @@ std::string raw_log_to_auditd_string(const RawLog& log) {
 }
 
 util::StatusOr<RawLog> read_raw_log_auditd(std::istream& is) {
-  LEAPS_FAULT_POINT_STATUS("trace.ingest.read");
-  std::size_t bytes = 0;
-  try {
-    AuditdParserState state;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-      ++lineno;
-      state.consume(line, lineno, bytes);
-      bytes += line.size() + 1;  // + the newline getline consumed
-    }
-    RawLog log = std::move(state).finish();
-    ingest_events_counter().inc(log.events.size());
-    ingest_bytes_counter().inc(bytes);
-    return log;
-  } catch (const AuditdError& e) {
-    ingest_corrupt_counter().inc(1);
-    return util::corrupt_input(e.what());
-  } catch (const std::bad_alloc&) {
-    return util::resource_exhausted("auditd log parse: allocation failed");
-  } catch (const std::length_error&) {
-    return util::resource_exhausted("auditd log parse: implausible allocation");
-  }
+  AuditdDecoder decoder;
+  const util::Status s = read_line_records(is, {"auditd log", true}, decoder);
+  if (!s.ok()) return s;
+  return std::move(decoder).take();
 }
 
 }  // namespace leaps::trace

@@ -22,11 +22,11 @@
 // syscall table is many-to-one (read(2) is kFileRead whether the key
 // survived or not), the key makes the round trip exact.
 //
-// The reader is an untrusted boundary: malformed records yield
+// The reader is an untrusted boundary: malformed records, a tid above
+// 2^32 - 1, and MMAP/SYM records that break the ModuleMap header rule yield
 // kCorruptInput (the message carries the 1-based line number and the byte
-// offset of the offending record, matching the binary dialect's
-// discipline), implausible allocations yield kResourceExhausted; it never
-// throws, crashes, or silently partial-parses.
+// offset of the offending record), implausible allocations yield
+// kResourceExhausted; it never throws, crashes, or silently partial-parses.
 #pragma once
 
 #include <cstdint>

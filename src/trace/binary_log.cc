@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
-#include "obs/registry.h"
+#include "obs/trace.h"
 #include "trace/auditd_log.h"
-#include "trace/parser.h"
+#include "trace/module_map.h"
+#include "trace/reader.h"
 #include "util/fault.h"
 
 namespace leaps::trace {
@@ -128,35 +132,15 @@ class Reader {
     }
     return s;
   }
-  [[noreturn]] void fail(const std::string& what) {
-    throw BinaryLogError(offset_, what);
+  [[noreturn]] void fail(const std::string& what) { fail_at(offset_, what); }
+  [[noreturn]] void fail_at(std::size_t offset, const std::string& what) {
+    throw BinaryLogError(offset, what);
   }
 
  private:
   std::istream& is_;
   std::size_t offset_ = 0;
 };
-
-// Ingest counters shared with the text parser (the registry dedups by
-// name). Incremented in bulk per decoded log, never per event, so the
-// decode loop stays free of shared-cache-line traffic.
-obs::Counter& ingest_events_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_ingest_events_total", "raw events decoded from ingested logs");
-  return c;
-}
-
-obs::Counter& ingest_bytes_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_ingest_bytes_total", "bytes consumed decoding ingested logs");
-  return c;
-}
-
-obs::Counter& ingest_corrupt_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_ingest_corrupt_total", "ingest attempts rejected as corrupt");
-  return c;
-}
 
 RawLog read_binary_impl(std::istream& is) {
   Reader r(is);
@@ -168,21 +152,31 @@ RawLog read_binary_impl(std::istream& is) {
   }
   RawLog log;
   log.process_name = r.string();
+  // Header records are held to the ModuleMap rule as they arrive; a
+  // violation is reported at the offset its record starts at.
+  ModuleMap header;
+  const auto require_ok = [&r](std::size_t at, const util::Status& s) {
+    if (!s.ok()) r.fail_at(at, s.message());
+  };
   const std::uint64_t modules = r.count("modules");
   capped_reserve(log.modules, modules);
   for (std::uint64_t i = 0; i < modules; ++i) {
+    const std::size_t at = r.offset();
     RawModule m;
     m.base = r.varint();
     m.size = r.varint();
     m.name = r.string();
+    require_ok(at, header.try_add_module({m.name, m.base, m.size}));
     log.modules.push_back(std::move(m));
   }
   const std::uint64_t symbols = r.count("symbols");
   capped_reserve(log.symbols, symbols);
   for (std::uint64_t i = 0; i < symbols; ++i) {
+    const std::size_t at = r.offset();
     RawSymbol s;
     s.address = r.varint();
     s.function = r.string();
+    require_ok(at, header.try_add_symbol(s.address, s.function));
     log.symbols.push_back(std::move(s));
   }
   const std::uint64_t events = r.count("events");
@@ -190,7 +184,11 @@ RawLog read_binary_impl(std::istream& is) {
   for (std::uint64_t i = 0; i < events; ++i) {
     RawEvent e;
     e.seq = r.varint();
-    e.tid = static_cast<std::uint32_t>(r.varint());
+    const std::uint64_t tid = r.varint();
+    if (tid > std::numeric_limits<std::uint32_t>::max()) {
+      r.fail("tid out of range");
+    }
+    e.tid = static_cast<std::uint32_t>(tid);
     const unsigned char type = r.byte();
     if (type >= kEventTypeCount) r.fail("unknown event type");
     e.type = static_cast<EventType>(type);
@@ -203,8 +201,8 @@ RawLog read_binary_impl(std::istream& is) {
     }
     log.events.push_back(std::move(e));
   }
-  ingest_events_counter().inc(log.events.size());
-  ingest_bytes_counter().inc(r.offset());
+  ingest_counters().events.inc(log.events.size());
+  ingest_counters().bytes.inc(r.offset());
   return log;
 }
 
@@ -245,7 +243,7 @@ util::StatusOr<RawLog> read_raw_log_binary(std::istream& is) {
   try {
     return read_binary_impl(is);
   } catch (const BinaryLogError& e) {
-    ingest_corrupt_counter().inc(1);
+    ingest_counters().corrupt.inc(1);
     return util::corrupt_input(e.what());
   } catch (const std::bad_alloc&) {
     return util::resource_exhausted("binary log: allocation failed");
@@ -254,43 +252,23 @@ util::StatusOr<RawLog> read_raw_log_binary(std::istream& is) {
   }
 }
 
-bool is_binary_log(std::istream& is) {
-  const std::streampos pos = is.tellg();
-  if (pos == std::streampos(-1)) {
-    // Non-seekable stream (pipe): a single-byte peek discriminates the
-    // formats without consuming anything.
-    is.clear();
-    return is.peek() ==
-           std::char_traits<char>::to_int_type(kBinaryLogMagic[0]);
-  }
-  char magic[sizeof(kBinaryLogMagic)];
-  is.read(magic, sizeof(magic));
-  const bool ok = is.gcount() == sizeof(magic) &&
-                  std::equal(std::begin(magic), std::end(magic),
-                             std::begin(kBinaryLogMagic));
-  is.clear();
-  is.seekg(pos);
-  return ok;
-}
-
 namespace {
 
-// The auditd dialect is the only format whose records start with 't'
-// ("type="): the text grammar's records start with '#', P, M, S or E and
-// the binary magic starts with 'L', so — like is_binary_log — a one-byte
-// peek suffices on pipes and a short prefix read on seekable streams.
-bool is_auditd_log(std::istream& is) {
+/// True when the stream starts with `prefix`, without consuming it.
+/// Seekable streams get the full check (position restored); non-seekable
+/// streams (pipes) peek a single byte, which is enough because every
+/// dialect starts with a different byte: 'L' for the binary magic, 't' for
+/// auditd's "type=", and '#', P, M, S, E or a blank for text records.
+bool stream_starts_with(std::istream& is, std::string_view prefix) {
   const std::streampos pos = is.tellg();
   if (pos == std::streampos(-1)) {
     is.clear();
-    return is.peek() == std::char_traits<char>::to_int_type('t');
+    return is.peek() == std::char_traits<char>::to_int_type(prefix.front());
   }
-  constexpr char kPrefix[] = {'t', 'y', 'p', 'e', '='};
-  char head[sizeof(kPrefix)];
-  is.read(head, sizeof(head));
-  const bool ok = is.gcount() == sizeof(head) &&
-                  std::equal(std::begin(head), std::end(head),
-                             std::begin(kPrefix));
+  std::string head(prefix.size(), '\0');
+  is.read(head.data(), static_cast<std::streamsize>(head.size()));
+  const bool ok = is.gcount() == static_cast<std::streamsize>(head.size()) &&
+                  head == prefix;
   is.clear();
   is.seekg(pos);
   return ok;
@@ -298,31 +276,16 @@ bool is_auditd_log(std::istream& is) {
 
 }  // namespace
 
+bool is_binary_log(std::istream& is) {
+  return stream_starts_with(
+      is, std::string_view(kBinaryLogMagic, sizeof(kBinaryLogMagic)));
+}
+
 util::StatusOr<RawLog> read_raw_log_any(std::istream& is) {
+  LEAPS_SPAN("trace.decode");
   if (is_binary_log(is)) return read_raw_log_binary(is);
-  if (is_auditd_log(is)) return read_raw_log_auditd(is);
-  // Text: run the grammar parser, then project back to raw records.
-  LEAPS_FAULT_POINT_STATUS("trace.ingest.read");
-  util::StatusOr<ParsedTrace> parsed = RawLogParser().parse(is);
-  if (!parsed.ok()) return parsed.status();
-  RawLog out;
-  out.process_name = parsed->log.process_name;
-  for (const ModuleInfo& m : parsed->modules.modules()) {
-    out.modules.push_back({m.base, m.size, m.name});
-  }
-  for (const auto& [addr, function] : parsed->modules.symbols()) {
-    out.symbols.push_back({addr, function});
-  }
-  for (const Event& e : parsed->log.events) {
-    RawEvent re;
-    re.seq = e.seq;
-    re.tid = e.tid;
-    re.type = e.type;
-    re.stack.reserve(e.stack.size());
-    for (const StackFrame& f : e.stack) re.stack.push_back(f.address);
-    out.events.push_back(std::move(re));
-  }
-  return out;
+  if (stream_starts_with(is, "type=")) return read_raw_log_auditd(is);
+  return read_raw_log_text(is);
 }
 
 }  // namespace leaps::trace

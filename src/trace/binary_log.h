@@ -17,9 +17,12 @@
 //
 // The readers are an untrusted boundary — the bytes may come from an
 // attacker trying to blind the collector — so they return StatusOr
-// instead of throwing: kCorruptInput for malformed bytes (message carries
-// the byte offset), kResourceExhausted for inputs demanding implausible
-// allocations. They never crash, hang, or silently partial-parse.
+// instead of throwing: kCorruptInput for malformed bytes, a tid above
+// 2^32 - 1, or a module/symbol record that breaks the ModuleMap header rule
+// (message carries the byte offset), kResourceExhausted for inputs
+// demanding implausible allocations. They never crash, hang, or silently
+// partial-parse. Like every reader they only decode: frames are symbolized
+// later by RawLogParser::parse_raw (parser.h).
 #pragma once
 
 #include <cstdint>
@@ -44,9 +47,9 @@ util::StatusOr<RawLog> read_raw_log_binary(std::istream& is);
 /// begins with 'L'.
 bool is_binary_log(std::istream& is);
 
-/// Reads a raw log in either format (binary detected by magic, otherwise
-/// parsed as text via RawLogParser). Works on non-seekable streams such
-/// as piped stdin.
+/// Reads a raw log in any dialect: binary (detected by magic), auditd
+/// (detected by its "type=" prefix), otherwise text (read_raw_log_text).
+/// Works on non-seekable streams such as piped stdin.
 util::StatusOr<RawLog> read_raw_log_any(std::istream& is);
 
 }  // namespace leaps::trace

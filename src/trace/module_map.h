@@ -5,6 +5,12 @@
 // real tracer resolves offline). The application image is registered as a
 // module but carries no symbols — LEAPS never needs application symbols; the
 // application side of the pipeline works on raw addresses only.
+//
+// The map also owns the header rule every log dialect is held to: a module
+// has a nonzero size, its end base + size does not wrap past 2^64, no two
+// modules overlap, and every symbol lies inside a module.
+// The readers apply it record by record through the try_ forms, so a
+// RawLog that decoded cleanly can always be symbolized.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +18,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "util/status.h"
 
 namespace leaps::trace {
 
@@ -33,11 +41,17 @@ struct Resolution {
 
 class ModuleMap {
  public:
-  /// Registers a module. Overlapping ranges are a caller bug and throw.
-  void add_module(ModuleInfo info);
+  /// Registers a module, or returns kCorruptInput (plain message, no
+  /// position) and leaves the map unchanged if it breaks the header rule.
+  util::Status try_add_module(ModuleInfo info);
 
-  /// Registers a symbol (function entry) at `addr`. The address must fall
-  /// inside a registered module.
+  /// Registers a symbol (function entry) at `addr`, or returns
+  /// kCorruptInput if no registered module contains `addr`.
+  util::Status try_add_symbol(std::uint64_t addr, std::string function);
+
+  /// Trusted-path forms (simulator output, validated logs): a broken rule
+  /// is a caller bug and throws (LEAPS_CHECK).
+  void add_module(ModuleInfo info);
   void add_symbol(std::uint64_t addr, std::string function);
 
   /// Finds the module containing `addr`, or nullptr.

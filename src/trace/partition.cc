@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/trace.h"
+
 namespace leaps::trace {
 
 PartitionedEvent StackPartitioner::partition(const Event& event) const {
@@ -24,6 +26,7 @@ PartitionedEvent StackPartitioner::partition(const Event& event) const {
 }
 
 PartitionedLog StackPartitioner::partition(const CorrelatedLog& log) const {
+  LEAPS_SPAN("trace.partition");
   PartitionedLog out;
   out.process_name = log.process_name;
   out.events.reserve(log.events.size());

@@ -2,8 +2,9 @@
 //
 // A raw log is what the simulated tracing engine writes: image-load records,
 // system symbols, and events whose stack walks are raw addresses only. The
-// textual format is deliberately line-oriented so that the Raw Log Parser has
-// real parsing work to do, mirroring LEAPS's front end:
+// textual format is line-oriented, for inspection; binary_log.h and
+// auditd_log.h are its two other dialects. Every reader only decodes —
+// frames are resolved later, once, by RawLogParser::parse_raw (parser.h):
 //
 //   # LEAPS raw event trace v1
 //   PROCESS putty.exe
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "trace/event.h"
+#include "util/status.h"
 
 namespace leaps::trace {
 
@@ -65,5 +67,11 @@ void write_raw_log(const RawLog& log, std::ostream& os);
 
 /// Convenience: serialize to a string.
 std::string raw_log_to_string(const RawLog& log);
+
+/// Decodes the textual format — an untrusted boundary. Records come out in
+/// file order. Malformed input, or a header that breaks the ModuleMap rule,
+/// yields kCorruptInput carrying the 1-based line number of the offending
+/// record; it never throws.
+util::StatusOr<RawLog> read_raw_log_text(std::istream& is);
 
 }  // namespace leaps::trace

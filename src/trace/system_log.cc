@@ -1,11 +1,10 @@
 #include "trace/system_log.h"
 
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
-#include "trace/parser.h"
+#include "trace/reader.h"
 #include "util/strings.h"
 
 namespace leaps::trace {
@@ -74,106 +73,70 @@ std::string system_log_to_string(const SystemRawLog& capture) {
 
 namespace {
 
-using util::parse_hex_u64;
-using util::split_ws;
-using util::trim;
+/// The system-capture grammar in the header comment, one record at a time.
+class SystemDecoder final : public LineDecoder {
+ public:
+  SystemRawLog take() && { return std::move(out_); }
 
-std::uint64_t parse_addr(std::string_view s, std::size_t line) {
-  std::uint64_t v = 0;
-  if (!parse_hex_u64(s, v)) {
-    throw ParseError(line, "bad hex address '" + std::string(s) + "'");
-  }
-  return v;
-}
-
-std::uint64_t parse_dec(std::string_view s, std::size_t line) {
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') {
-      throw ParseError(line, "bad decimal '" + std::string(s) + "'");
+  void record(std::string_view line) override {
+    const auto fields = util::split_ws(line);
+    const std::string_view kind = fields.front();
+    if (kind == "SYSMODULE") {
+      require(fields.size() == 4, "SYSMODULE expects 3 fields");
+      out_.shared_modules.push_back({hex(fields[1], "address"),
+                                     hex(fields[2], "address"),
+                                     std::string(fields[3])});
+    } else if (kind == "SYMBOL") {
+      require(fields.size() == 3, "SYMBOL expects 2 fields");
+      out_.symbols.push_back(
+          {hex(fields[1], "address"), std::string(fields[2])});
+    } else if (kind == "PROCESSENTRY") {
+      require(fields.size() == 3, "PROCESSENTRY expects 2 fields");
+      out_.process_names[dec_u32(fields[1], "pid")] = std::string(fields[2]);
+    } else if (kind == "PROCMODULE") {
+      require(fields.size() == 5, "PROCMODULE expects 4 fields");
+      const std::uint32_t pid = dec_u32(fields[1], "pid");
+      require(out_.process_names.count(pid) > 0,
+              "PROCMODULE before PROCESSENTRY");
+      out_.process_modules[pid].push_back({hex(fields[2], "address"),
+                                           hex(fields[3], "address"),
+                                           std::string(fields[4])});
+    } else if (kind == "SYSEVENT") {
+      require(fields.size() == 5, "SYSEVENT expects 4 fields");
+      SystemRawLog::Entry& entry = out_.entries.emplace_back();
+      entry.pid = dec_u32(fields[1], "pid");
+      require(out_.process_names.count(entry.pid) > 0,
+              "SYSEVENT for unknown pid");
+      entry.event.seq = dec(fields[2]);
+      entry.event.tid = dec_u32(fields[3], "tid");
+      const auto type = event_type_from_name(fields[4]);
+      require(type.has_value(), "unknown event type");
+      entry.event.type = *type;
+    } else if (kind == "STACK") {
+      require(fields.size() == 2, "STACK expects 1 field");
+      require(!out_.entries.empty(), "STACK before any SYSEVENT");
+      out_.entries.back().event.stack.push_back(hex(fields[1], "address"));
+    } else {
+      fail("unknown record kind '" + std::string(kind) + "'");
     }
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
   }
-  return v;
-}
+
+  std::size_t finish() override { return out_.entries.size(); }
+
+ private:
+  SystemRawLog out_;
+};
 
 }  // namespace
 
-SystemRawLog parse_system_log(std::istream& is) {
-  SystemRawLog out;
-  std::string line;
-  std::size_t lineno = 0;
-  bool have_event = false;
-  SystemRawLog::Entry current;
-
-  const auto flush = [&] {
-    if (have_event) {
-      out.entries.push_back(std::move(current));
-      current = {};
-      have_event = false;
-    }
-  };
-
-  while (std::getline(is, line)) {
-    ++lineno;
-    const std::string_view text = trim(line);
-    if (text.empty() || text.front() == '#') continue;
-    const auto fields = split_ws(text);
-    const std::string_view kind = fields.front();
-    const auto require = [&](bool cond, const char* what) {
-      if (!cond) throw ParseError(lineno, what);
-    };
-    if (kind == "SYSMODULE") {
-      require(fields.size() == 4, "SYSMODULE expects 3 fields");
-      out.shared_modules.push_back({parse_addr(fields[1], lineno),
-                                    parse_addr(fields[2], lineno),
-                                    std::string(fields[3])});
-    } else if (kind == "SYMBOL") {
-      require(fields.size() == 3, "SYMBOL expects 2 fields");
-      out.symbols.push_back(
-          {parse_addr(fields[1], lineno), std::string(fields[2])});
-    } else if (kind == "PROCESSENTRY") {
-      require(fields.size() == 3, "PROCESSENTRY expects 2 fields");
-      const auto pid =
-          static_cast<std::uint32_t>(parse_dec(fields[1], lineno));
-      out.process_names[pid] = std::string(fields[2]);
-    } else if (kind == "PROCMODULE") {
-      require(fields.size() == 5, "PROCMODULE expects 4 fields");
-      const auto pid =
-          static_cast<std::uint32_t>(parse_dec(fields[1], lineno));
-      require(out.process_names.count(pid) > 0,
-              "PROCMODULE before PROCESSENTRY");
-      out.process_modules[pid].push_back({parse_addr(fields[2], lineno),
-                                          parse_addr(fields[3], lineno),
-                                          std::string(fields[4])});
-    } else if (kind == "SYSEVENT") {
-      require(fields.size() == 5, "SYSEVENT expects 4 fields");
-      flush();
-      current.pid =
-          static_cast<std::uint32_t>(parse_dec(fields[1], lineno));
-      require(out.process_names.count(current.pid) > 0,
-              "SYSEVENT for unknown pid");
-      current.event.seq = parse_dec(fields[2], lineno);
-      current.event.tid =
-          static_cast<std::uint32_t>(parse_dec(fields[3], lineno));
-      const auto type = event_type_from_name(fields[4]);
-      require(type.has_value(), "unknown event type");
-      current.event.type = *type;
-      have_event = true;
-    } else if (kind == "STACK") {
-      require(fields.size() == 2, "STACK expects 1 field");
-      require(have_event, "STACK before any SYSEVENT");
-      current.event.stack.push_back(parse_addr(fields[1], lineno));
-    } else {
-      throw ParseError(lineno,
-                       "unknown record kind '" + std::string(kind) + "'");
-    }
-  }
-  flush();
-  return out;
+util::StatusOr<SystemRawLog> parse_system_log(std::istream& is) {
+  SystemDecoder decoder;
+  const util::Status s = read_line_records(is, {"raw log", false}, decoder);
+  if (!s.ok()) return s;
+  return std::move(decoder).take();
 }
 
-SystemRawLog parse_system_log_string(std::string_view text) {
+util::StatusOr<SystemRawLog> parse_system_log_string(std::string_view text) {
   std::istringstream is{std::string(text)};
   return parse_system_log(is);
 }

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "trace/raw_log.h"
+#include "util/status.h"
 
 namespace leaps::trace {
 
@@ -60,9 +61,11 @@ RawLog slice_process(const SystemRawLog& capture, std::uint32_t pid);
 void write_system_log(const SystemRawLog& capture, std::ostream& os);
 std::string system_log_to_string(const SystemRawLog& capture);
 
-/// Parses the textual format; throws ParseError (from trace/parser.h) with
-/// line numbers on malformed input.
-SystemRawLog parse_system_log(std::istream& is);
-SystemRawLog parse_system_log_string(std::string_view text);
+/// Decodes the textual format — an untrusted boundary, read with the same
+/// line-record loop as the single-process text and auditd dialects.
+/// Malformed input, or a pid or tid above 2^32 - 1, yields kCorruptInput
+/// carrying the 1-based line number; it never throws.
+util::StatusOr<SystemRawLog> parse_system_log(std::istream& is);
+util::StatusOr<SystemRawLog> parse_system_log_string(std::string_view text);
 
 }  // namespace leaps::trace

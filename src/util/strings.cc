@@ -53,6 +53,12 @@ bool parse_hex_u64(std::string_view s, std::uint64_t& out) {
   return ec == std::errc{} && ptr == s.data() + s.size();
 }
 
+bool parse_dec_u64(std::string_view s, std::uint64_t& out) {
+  if (s.empty()) return false;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  return ec == std::errc{} && ptr == s.data() + s.size();
+}
+
 std::string hex_addr(std::uint64_t addr) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "0x%016llx",

@@ -22,6 +22,10 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// Returns false on malformed input.
 bool parse_hex_u64(std::string_view s, std::uint64_t& out);
 
+/// Parses an unsigned decimal of ASCII digits only. Returns false on empty
+/// or malformed input and on values above UINT64_MAX.
+bool parse_dec_u64(std::string_view s, std::uint64_t& out);
+
 /// Formats an address as 0x%016x.
 std::string hex_addr(std::uint64_t addr);
 

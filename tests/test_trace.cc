@@ -71,7 +71,33 @@ TEST(ModuleMap, RejectsOverlapsAndStraySymbols) {
   EXPECT_THROW(m.add_module({"bad.dll", 0x1800, 0x1000}), std::logic_error);
   EXPECT_THROW(m.add_module({"bad.dll", 0x800, 0x1000}), std::logic_error);
   EXPECT_THROW(m.add_module({"zero.dll", 0x50000, 0}), std::logic_error);
+  EXPECT_THROW(m.add_module({"wrap.dll", ~0ULL - 0xFF, 0x100}),
+               std::logic_error);
   EXPECT_THROW(m.add_symbol(0x99999999, "ghost"), std::logic_error);
+}
+
+TEST(ModuleMap, HeaderRuleReportsWithoutThrowing) {
+  ModuleMap m = two_module_map();
+  const auto message = [](const util::Status& s) {
+    EXPECT_EQ(s.code(), util::StatusCode::kCorruptInput);
+    return s.message();
+  };
+  EXPECT_EQ(message(m.try_add_module({"zero.dll", 0x50000, 0})),
+            "MODULE with zero size");
+  EXPECT_EQ(message(m.try_add_module({"wrap.dll", ~0ULL - 0xFF, 0x100})),
+            "MODULE range wraps past 2^64");
+  EXPECT_EQ(message(m.try_add_module({"bad.dll", 0x1800, 0x1000})),
+            "MODULE overlaps app.exe: bad.dll");
+  EXPECT_EQ(message(m.try_add_module({"bad.dll", 0x800, 0x1000})),
+            "MODULE overlaps app.exe: bad.dll");
+  EXPECT_EQ(message(m.try_add_symbol(0x99999999, "ghost")),
+            "SYMBOL outside any MODULE");
+  // A rejected record leaves the map as it was.
+  EXPECT_EQ(m.modules().size(), 2u);
+  EXPECT_EQ(m.symbol_count(), 2u);
+  // The last representable address can be mapped.
+  EXPECT_TRUE(m.try_add_module({"top.dll", ~0ULL - 0xFF, 0xFF}).ok());
+  EXPECT_TRUE(m.try_add_symbol(~0ULL - 1, "top").ok());
 }
 
 // -------------------------------------------------- raw log + parser ----
@@ -96,17 +122,20 @@ RawLog make_raw_log() {
   return log;
 }
 
+util::StatusOr<RawLog> read_text(const std::string& text) {
+  std::istringstream is(text);
+  return read_raw_log_text(is);
+}
+
 TEST(RawLogParser, TextRoundTripMatchesInMemoryParse) {
   const RawLog raw = make_raw_log();
+  const RawLog decoded = read_text(raw_log_to_string(raw)).value();
+  EXPECT_EQ(decoded, raw);
   const RawLogParser parser;
-  const ParsedTrace from_text =
-      parser.parse_string(raw_log_to_string(raw)).value();
+  const ParsedTrace from_text = parser.parse_raw(decoded);
   const ParsedTrace from_raw = parser.parse_raw(raw);
   EXPECT_EQ(from_text.log.process_name, from_raw.log.process_name);
-  ASSERT_EQ(from_text.log.events.size(), from_raw.log.events.size());
-  for (std::size_t i = 0; i < from_text.log.events.size(); ++i) {
-    EXPECT_EQ(from_text.log.events[i], from_raw.log.events[i]);
-  }
+  EXPECT_EQ(from_text.log.events, from_raw.log.events);
 }
 
 TEST(RawLogParser, SymbolicatesFrames) {
@@ -135,17 +164,15 @@ TEST(RawLogParser, PreservesEventMetadata) {
 TEST(RawLogParser, IgnoresCommentsAndBlankLines) {
   const std::string text =
       "# comment\n\nPROCESS a.exe\n# another\nEVENT 0 1 FileRead\n";
-  const ParsedTrace t = RawLogParser().parse_string(text).value();
-  EXPECT_EQ(t.log.process_name, "a.exe");
-  ASSERT_EQ(t.log.events.size(), 1u);
-  EXPECT_TRUE(t.log.events[0].stack.empty());
+  const RawLog log = read_text(text).value();
+  EXPECT_EQ(log.process_name, "a.exe");
+  ASSERT_EQ(log.events.size(), 1u);
+  EXPECT_TRUE(log.events[0].stack.empty());
 }
 
 TEST(RawLogParser, ReportsErrorsWithLineNumbers) {
-  const RawLogParser p;
-  const auto expect_error_at = [&p](const std::string& text,
-                                    std::size_t line) {
-    const util::StatusOr<ParsedTrace> got = p.parse_string(text);
+  const auto expect_error_at = [](const std::string& text, std::size_t line) {
+    const util::StatusOr<RawLog> got = read_text(text);
     ASSERT_FALSE(got.ok()) << "expected kCorruptInput for: " << text;
     EXPECT_EQ(got.status().code(), util::StatusCode::kCorruptInput) << text;
     EXPECT_NE(got.status().message().find(
@@ -163,8 +190,8 @@ TEST(RawLogParser, ReportsErrorsWithLineNumbers) {
 }
 
 TEST(RawLogParser, RejectsOverlappingModules) {
-  const util::StatusOr<ParsedTrace> got = RawLogParser().parse_string(
-      "MODULE 0x1000 0x1000 a\nMODULE 0x1800 0x1000 b\n");
+  const util::StatusOr<RawLog> got =
+      read_text("MODULE 0x1000 0x1000 a\nMODULE 0x1800 0x1000 b\n");
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), util::StatusCode::kCorruptInput);
 }

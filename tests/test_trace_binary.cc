@@ -11,6 +11,7 @@
 #include "sim/scenario.h"
 #include "trace/binary_log.h"
 #include "trace/parser.h"
+#include "trace/partition.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -204,6 +205,59 @@ TEST(BinaryLog, BitFlipCorpusNeverThrows) {
     // (structure bytes); either way it must come back as a Status.
     EXPECT_NO_THROW((void)read_raw_log_any(is)) << "corpus item " << i;
   }
+}
+
+TEST(BinaryLog, HeaderBitFlipSweepNeverThrowsDownstream) {
+  // Flip, one at a time, every bit of the module and symbol records: each
+  // mutant is either rejected, or symbolizes and partitions without
+  // throwing — the reader holds the header to the ModuleMap rule, so what
+  // it accepts parse_raw can always resolve.
+  sim::SimConfig cfg;
+  cfg.benign_events = 100;
+  cfg.mixed_events = 75;
+  cfg.malicious_events = 50;
+  RawLog log = sim::generate_scenario(sim::find_scenario("putty_reverse_tcp"),
+                                      cfg)
+                   .benign;
+  // Every module record, but one symbol in eight and 20 events, so the
+  // ~6k mutants stay quick under the sanitizers.
+  std::vector<RawSymbol> symbols;
+  for (std::size_t i = 0; i < log.symbols.size(); i += 8) {
+    symbols.push_back(log.symbols[i]);
+  }
+  log.symbols = std::move(symbols);
+  log.events.resize(20);
+  RawLog header_only = log;
+  header_only.events.clear();
+  // The header records run from after the magic and process name up to
+  // the event count (one byte for an empty log).
+  const std::size_t begin =
+      sizeof(kBinaryLogMagic) + 1 + log.process_name.size();
+  const std::size_t end = to_binary(header_only).size() - 1;
+  ASSERT_LT(log.process_name.size(), 128u);  // one-byte length varint
+  const std::string good = to_binary(log);
+  std::size_t accepted = 0;
+  for (std::size_t at = begin; at < end; ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = good;
+      mutated[at] = static_cast<char>(
+          static_cast<unsigned char>(mutated[at]) ^ (1u << bit));
+      std::stringstream is(std::move(mutated),
+                           std::ios::in | std::ios::binary);
+      const util::StatusOr<RawLog> got = read_raw_log_any(is);
+      if (!got.ok()) continue;
+      ++accepted;
+      try {
+        const ParsedTrace t = RawLogParser().parse_raw(*got);
+        (void)StackPartitioner(t.log.process_name).partition(t.log);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "bit " << bit << " of byte " << at << ": "
+                      << e.what();
+      }
+    }
+  }
+  // Most flips land in addresses and names and are still valid headers.
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(BinaryLog, HugeClaimedStringFailsWithoutCommittingMemory) {

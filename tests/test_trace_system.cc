@@ -70,18 +70,18 @@ TEST(SystemLog, SlicedLogParsesAndPartitions) {
 
 TEST(SystemLog, TextRoundTrip) {
   const SystemRawLog cap = tiny_capture();
-  const SystemRawLog back = parse_system_log_string(system_log_to_string(cap));
-  EXPECT_EQ(back, cap);
+  EXPECT_EQ(parse_system_log_string(system_log_to_string(cap)).value(), cap);
 }
 
 TEST(SystemLog, ParserRejectsMalformedInput) {
   const auto reject = [](const std::string& text, std::size_t line) {
-    try {
-      parse_system_log_string(text);
-      FAIL() << text;
-    } catch (const ParseError& e) {
-      EXPECT_EQ(e.line(), line);
-    }
+    const util::StatusOr<SystemRawLog> got = parse_system_log_string(text);
+    ASSERT_FALSE(got.ok()) << text;
+    EXPECT_EQ(got.status().code(), util::StatusCode::kCorruptInput) << text;
+    EXPECT_NE(got.status().message().find(
+                  "line " + std::to_string(line) + ":"),
+              std::string::npos)
+        << got.status().message();
   };
   reject("STACK 0x10\n", 1);                                     // orphan
   reject("SYSEVENT 5 0 1 FileRead\n", 1);                        // no pid
@@ -89,6 +89,12 @@ TEST(SystemLog, ParserRejectsMalformedInput) {
   reject("PROCMODULE 9 0x0 0x10 x\n", 1);                        // no entry
   reject("FROB\n", 1);
   reject("SYSMODULE 0x0 zz m\n", 1);
+  // Values that do not fit their field are rejected, not truncated.
+  reject("PROCESSENTRY 5 a.exe\nSYSEVENT 5 0 4294967296 FileRead\n", 2);
+  reject("PROCESSENTRY 4294967301 a.exe\n", 1);
+  reject("PROCESSENTRY 5 a.exe\nSYSEVENT 5 18446744073709551616 1 "
+         "FileRead\n",
+         2);
 }
 
 TEST(SystemLog, GeneratedCaptureSlicesCleanly) {

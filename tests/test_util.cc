@@ -260,6 +260,21 @@ TEST(Strings, ParseHexRoundTrip) {
   EXPECT_EQ(back, addr);
 }
 
+TEST(Strings, ParseDecRejectsWhatDoesNotFit) {
+  std::uint64_t v = 0;
+  EXPECT_TRUE(parse_dec_u64("0", v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_dec_u64("18446744073709551615", v));
+  EXPECT_EQ(v, ~0ULL);
+  EXPECT_FALSE(parse_dec_u64("18446744073709551616", v));  // 2^64 wraps
+  EXPECT_FALSE(parse_dec_u64("99999999999999999999999", v));
+  EXPECT_FALSE(parse_dec_u64("", v));
+  EXPECT_FALSE(parse_dec_u64("-1", v));
+  EXPECT_FALSE(parse_dec_u64("+1", v));
+  EXPECT_FALSE(parse_dec_u64("12a", v));
+  EXPECT_FALSE(parse_dec_u64(" 1", v));
+}
+
 TEST(Strings, StartsWithAndFixed) {
   EXPECT_TRUE(starts_with("MODULE x", "MODULE"));
   EXPECT_FALSE(starts_with("MOD", "MODULE"));

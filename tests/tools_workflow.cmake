@@ -103,6 +103,14 @@ if(NOT trace_json MATCHES "^\\[" OR NOT trace_json MATCHES "\"ph\":\"X\"")
   message(FATAL_ERROR "--trace-out did not produce a trace-event array:\n"
                       "${trace_json}")
 endif()
+# Ingest is on the ledger: one decode, symbolize and partition span per
+# log, the rows the tool-path benchmark's in-process ledger times.
+foreach(span trace.decode trace.symbolize trace.partition)
+  string(FIND "${trace_json}" "\"name\":\"${span}\"" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "--trace-out has no '${span}' span:\n${trace_json}")
+  endif()
+endforeach()
 
 # Prometheus exposition: # TYPE headers, `name value` sample lines, and —
 # because the server registers onto the shared registry — both serving and

@@ -1,9 +1,9 @@
 // Shared untrusted-log ingest for the leaps tools.
 //
-// Opens `path` — "-" means stdin — autodetects text vs binary (the
-// detector peeks a single byte, so pipes work), and surfaces corruption
-// as a Status the tool turns into a diagnostic + exit code instead of an
-// uncaught exception.
+// Opens `path` — "-" means stdin — autodetects the dialect (text, binary
+// or auditd; the detector peeks a single byte, so pipes work), and
+// surfaces corruption as a Status the tool turns into a diagnostic + exit
+// code instead of an uncaught exception.
 #pragma once
 
 #include <fstream>
@@ -18,7 +18,7 @@
 
 namespace leaps::cli {
 
-/// Reads a raw log (text or binary) from `path`; "-" reads stdin.
+/// Reads a raw log in any dialect from `path`; "-" reads stdin.
 inline util::StatusOr<trace::RawLog> read_raw_log_path(
     const std::string& path) {
   if (path == "-") return trace::read_raw_log_any(std::cin);
@@ -33,6 +33,7 @@ inline util::StatusOr<trace::PartitionedLog> load_partitioned_log(
   util::StatusOr<trace::RawLog> raw = read_raw_log_path(path);
   if (!raw.ok()) return raw.status();
   const trace::ParsedTrace t = trace::RawLogParser().parse_raw(*raw);
+  *raw = trace::RawLog{};  // free the raw records before partitioning
   return trace::StackPartitioner(t.log.process_name).partition(t.log);
 }
 

@@ -201,9 +201,21 @@ void check_identity(const serve::MetricsSnapshot& m, const char* phase) {
   }
 }
 
+/// A log a reader accepted must symbolize and partition without throwing:
+/// the readers hold every header to the ModuleMap rule.
+void symbolize_accepted(const trace::RawLog& log) {
+  try {
+    (void)partition_raw(log);
+  } catch (const std::exception& e) {
+    check(false, "ingest: an accepted mutant threw downstream of the reader");
+    std::fprintf(stderr, "leaps-chaos:   %s\n", e.what());
+  }
+}
+
 /// Phase: every truncation of a valid binary log must be rejected as
 /// corrupt, and every bit-flipped variant must come back as a Status —
-/// ok or error — never an escaped exception, crash, or hang.
+/// ok or error — never an escaped exception, crash, or hang; a variant
+/// that reads back ok must also symbolize and partition cleanly.
 void ingest_chaos(const trace::RawLog& log, std::size_t corpus,
                   util::Rng& rng) {
   const Watchdog watchdog("ingest", std::chrono::seconds(120));
@@ -240,6 +252,7 @@ void ingest_chaos(const trace::RawLog& log, std::size_t corpus,
       // read_raw_log_any also exercises format sniffing on hostile bytes.
       const util::StatusOr<trace::RawLog> got = trace::read_raw_log_any(is);
       got.ok() ? ++flips_ok : ++flips_rejected;
+      if (got.ok()) symbolize_accepted(*got);
     } catch (...) {
       check(false, "ingest: reader let an exception escape on corrupt bytes");
     }
@@ -299,6 +312,7 @@ void ingest_chaos(const trace::RawLog& log, std::size_t corpus,
     try {
       const util::StatusOr<trace::RawLog> got = trace::read_raw_log_any(is);
       got.ok() ? ++audit_flips_ok : ++audit_flips_rejected;
+      if (got.ok()) symbolize_accepted(*got);
     } catch (...) {
       check(false,
             "ingest: auditd reader let an exception escape on corrupt bytes");
