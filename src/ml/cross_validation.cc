@@ -44,8 +44,11 @@ struct FoldOutcome {
 /// deterministic in its inputs, no shared state — so folds and grid points
 /// evaluate concurrently without changing any reported number. (SVM
 /// training itself has no randomness; the only RNG in CV is the fold
-/// shuffle, which happens up front on the caller's seed.)
-FoldOutcome run_fold(const Dataset& data, const SvmParams& params,
+/// shuffle, which happens up front on the caller's seed.) `K` is the Gram
+/// matrix of all of `data` under params.kernel; the fold trains on its
+/// gather, which equals a build over the training split bit for bit.
+FoldOutcome run_fold(const Dataset& data, const GramMatrix& K,
+                     const SvmParams& params,
                      const std::vector<std::size_t>& test_idx,
                      bool weighted_validation) {
   FoldOutcome out;
@@ -61,8 +64,8 @@ FoldOutcome run_fold(const Dataset& data, const SvmParams& params,
   const Dataset train = data.subset(train_idx);
   if (!has_both_classes(train)) return out;
 
-  const SvmTrainer trainer(params);
-  const SvmModel model = trainer.train(train);
+  const SvmModel model =
+      SvmTrainer(params).train(train, GramMatrix(K, train_idx));
   double correct = 0.0;
   double total = 0.0;
   for (const std::size_t i : test_idx) {
@@ -97,13 +100,16 @@ double cross_validate(const Dataset& data, const SvmParams& params,
                       bool weighted_validation) {
   const std::size_t n = data.size();
   LEAPS_CHECK_MSG(n >= folds, "fewer samples than folds");
+  data.validate();
   const auto fold_sets = make_folds(n, folds, rng);
 
+  const GramMatrix K(data.X, params.kernel);
   std::vector<FoldOutcome> outcomes(fold_sets.size());
   util::parallel_for(0, fold_sets.size(), 1, [&](std::size_t b,
                                                  std::size_t e) {
     for (std::size_t f = b; f < e; ++f) {
-      outcomes[f] = run_fold(data, params, fold_sets[f], weighted_validation);
+      outcomes[f] =
+          run_fold(data, K, params, fold_sets[f], weighted_validation);
     }
   });
   return reduce_folds(outcomes.data(), outcomes.size());
@@ -115,6 +121,7 @@ GridSearchResult tune_svm(const Dataset& data, const SvmParams& base,
   LEAPS_CHECK_MSG(!options.lambdas.empty() && !options.sigma2s.empty(),
                   "empty hyper-parameter grid");
   LEAPS_CHECK_MSG(data.size() >= options.folds, "fewer samples than folds");
+  data.validate();
 
   // Identical fold split for every grid point: comparisons stay fair. The
   // fork is const on rng, so this matches the historic per-point fork.
@@ -129,21 +136,31 @@ GridSearchResult tune_svm(const Dataset& data, const SvmParams& base,
     }
   }
 
-  // One task per (grid point × fold): the whole tuning run drains through
-  // the pool as a flat list, so wall-clock drops near-linearly in threads
-  // even when a single grid point's folds are imbalanced.
+  // σ²-major: one Gram matrix per σ², built at top level so the build
+  // itself fans out over the pool, then one task per (λ × fold) trains on
+  // gathers from it. Only one full n×n matrix is alive at a time.
+  // outcomes[g * folds + f] keeps the trial (λ-major) layout, so the
+  // reduction below is the same serial sequence whatever the task order.
   const std::size_t folds = fold_sets.size();
+  const std::size_t n_sigma2 = options.sigma2s.size();
   std::vector<FoldOutcome> outcomes(grid.size() * folds);
-  util::parallel_for(
-      0, outcomes.size(), 1, [&](std::size_t b, std::size_t e) {
-        for (std::size_t task = b; task < e; ++task) {
-          SvmParams p = base;
-          p.lambda = grid[task / folds].first;
-          p.kernel.sigma2 = grid[task / folds].second;
-          outcomes[task] = run_fold(data, p, fold_sets[task % folds],
-                                    options.weighted_validation);
-        }
-      });
+  for (std::size_t s = 0; s < n_sigma2; ++s) {
+    SvmParams p = base;
+    p.kernel.sigma2 = options.sigma2s[s];
+    const GramMatrix K(data.X, p.kernel);
+    util::parallel_for(
+        0, options.lambdas.size() * folds, 1,
+        [&](std::size_t b, std::size_t e) {
+          for (std::size_t task = b; task < e; ++task) {
+            const std::size_t l = task / folds;
+            const std::size_t f = task % folds;
+            SvmParams q = p;
+            q.lambda = options.lambdas[l];
+            outcomes[(l * n_sigma2 + s) * folds + f] = run_fold(
+                data, K, q, fold_sets[f], options.weighted_validation);
+          }
+        });
+  }
 
   GridSearchResult result;
   result.best = base;

@@ -2,12 +2,20 @@
 // (Section IV: "we use 10-fold cross validation to tune the model parameter
 // λ and σ² on the training set").
 //
-// Fold × grid-point evaluations run in parallel on the shared pool
-// (util/parallel.h): the fold split is drawn up front from the caller's
-// seed, each task is a pure function of (data, params, fold), and the
-// per-point reduction happens serially in fold order — so every accuracy,
-// trial row, and the winning (λ, σ²) are byte-identical for --threads 1
-// and --threads N.
+// Task order: σ²-major. For each σ² the search builds one Gram matrix
+// over the whole dataset (a parallel build, the only n×n matrix alive at
+// that point), then runs every (λ × fold) task against it in parallel on
+// the shared pool (util/parallel.h); a fold trains on a row-and-column
+// gather of that matrix, which is bit-identical to building the Gram of
+// its training split (see GramMatrix in kernel.h). So a grid of |σ²|
+// values costs |σ²| Gram builds, not |λ|·|σ²|·folds, and peak memory is
+// one n×n matrix plus one fold Gram per thread.
+//
+// The fold split is drawn up front from the caller's seed, each task is a
+// pure function of (data, Gram, params, fold), trial rows stay in λ-major
+// order, and each grid point's reduction happens serially in fold order —
+// so every accuracy, trial row, and the winning (λ, σ²) are byte-identical
+// for --threads 1 and --threads N, and to per-fold Gram builds.
 #pragma once
 
 #include <vector>

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/registry.h"
+#include "obs/trace.h"
 #include "util/check.h"
 #include "util/parallel.h"
 
@@ -74,6 +76,13 @@ inline double dot(const double* a, const double* b, std::size_t d) {
 GramMatrix::GramMatrix(const std::vector<std::vector<double>>& X,
                        const KernelParams& kernel)
     : n_(X.size()) {
+  LEAPS_SPAN("svm.gram");
+  // Each unique pair is evaluated once (the mirror pass copies), so the
+  // metric counts the upper triangle with its diagonal.
+  static obs::Counter& kernel_evals = obs::MetricRegistry::global().counter(
+      "leaps_ml_kernel_evals_total",
+      "kernel evaluations spent building SVM gram matrices");
+  kernel_evals.inc(n_ * (n_ + 1) / 2);
   const std::size_t d = n_ == 0 ? 0 : X.front().size();
   // One contiguous n×d block: the pair loop below reads rows without
   // pointer chasing, and the same dot product serves every kernel type.
@@ -142,6 +151,18 @@ GramMatrix::GramMatrix(const std::vector<std::vector<double>>& X,
       }
     }
   });
+}
+
+GramMatrix::GramMatrix(const GramMatrix& full,
+                       const std::vector<std::size_t>& idx)
+    : n_(idx.size()) {
+  k_ = std::make_unique_for_overwrite<double[]>(n_ * n_);
+  for (std::size_t p = 0; p < n_; ++p) {
+    LEAPS_DCHECK(idx[p] < full.n_);
+    const double* src = full.row(idx[p]);
+    double* dst = &k_[p * n_];
+    for (std::size_t q = 0; q < n_; ++q) dst[q] = src[idx[q]];
+  }
 }
 
 }  // namespace leaps::ml

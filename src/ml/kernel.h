@@ -49,12 +49,25 @@ std::vector<std::vector<double>> gram_matrix(
 /// KernelParams evaluation is a property-test contract (≤ 1e-12), and the
 /// result is bit-identical for every thread count: entry values depend only
 /// on the inputs, and each entry is written exactly once.
+///
+/// Gather contract: an entry depends only on its two rows, never on the
+/// other rows of X or their order (IEEE + and × commute, so (i, j) and
+/// (j, i) round alike). Hence GramMatrix(full, idx) — rows and columns
+/// idx of a full build — is bit-identical to a direct build over the rows
+/// X[idx[0]], X[idx[1]], … for any list of distinct indices.
+/// Cross-validation relies on it: one full build per σ² serves every
+/// fold's training split, and each fold pays only an O(m²) copy
+/// (tests/test_parallel.cc checks the identity with memcmp).
 class GramMatrix {
  public:
   GramMatrix() = default;
-  /// Builds the full symmetric matrix for the given rows.
+  /// Builds the full symmetric matrix for the given rows: n(n+1)/2 kernel
+  /// evaluations, counted in leaps_ml_kernel_evals_total and timed by the
+  /// svm.gram span.
   GramMatrix(const std::vector<std::vector<double>>& X,
              const KernelParams& kernel);
+  /// Gathers rows and columns `idx` of `full` (no kernel evaluations).
+  GramMatrix(const GramMatrix& full, const std::vector<std::size_t>& idx);
 
   double operator()(std::size_t i, std::size_t j) const {
     return k_[i * n_ + j];

@@ -87,10 +87,18 @@ std::vector<SvmModel::Contribution> SvmModel::top_contributions(
 
 SvmModel SvmTrainer::train(const Dataset& data, TrainStats* stats,
                            const std::vector<double>* warm_alpha) const {
+  data.validate();
+  return train(data, GramMatrix(data.X, params_.kernel), stats, warm_alpha);
+}
+
+SvmModel SvmTrainer::train(const Dataset& data, const GramMatrix& K,
+                           TrainStats* stats,
+                           const std::vector<double>* warm_alpha) const {
   LEAPS_SPAN("svm.train");
   data.validate();
   const std::size_t n = data.size();
   LEAPS_CHECK_MSG(n >= 2, "SVM needs at least two samples");
+  LEAPS_CHECK_MSG(K.size() == n, "Gram matrix does not match the dataset");
 
   // Per-sample box bounds C_i = λ c_i. A zero weight pins α_i = 0.
   std::vector<double> C(n);
@@ -107,13 +115,6 @@ SvmModel SvmTrainer::train(const Dataset& data, TrainStats* stats,
         "SvmTrainer: need positively-weighted samples of both classes");
   }
 
-  const GramMatrix K(data.X, params_.kernel);
-  // The gram matrix evaluates each unique pair once (the mirror write is
-  // free), so the metric still counts the upper triangle.
-  static obs::Counter& kernel_evals = obs::MetricRegistry::global().counter(
-      "leaps_ml_kernel_evals_total",
-      "kernel evaluations spent building SVM gram matrices");
-  kernel_evals.inc(n * (n + 1) / 2);
   // Diagonal entries feed the curvature terms of every working-set scan;
   // lift them out of the flat matrix once so the scan reads a contiguous
   // array instead of striding n doubles per element.

@@ -110,7 +110,17 @@ class SvmTrainer {
   /// class, so any exported (or persisted and re-parsed) vector is a legal
   /// starting point. A warm start never changes the optimum the solver
   /// converges to — only how many iterations it takes to get there.
+  ///
+  /// Builds the Gram matrix over data.X and forwards to the overload below.
   SvmModel train(const Dataset& data, TrainStats* stats = nullptr,
+                 const std::vector<double>* warm_alpha = nullptr) const;
+
+  /// SMO against a Gram matrix the caller already holds: K(i, j) must be
+  /// this trainer's kernel over data.X[i] and data.X[j] — a direct build,
+  /// or a gather from a larger one (cross-validation folds). The model is
+  /// a function of K's values only, so either source gives the same bytes.
+  SvmModel train(const Dataset& data, const GramMatrix& K,
+                 TrainStats* stats = nullptr,
                  const std::vector<double>* warm_alpha = nullptr) const;
 
   const SvmParams& params() const { return params_; }

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "trace/module_map.h"
 #include "trace/reader.h"
 #include "util/strings.h"
 
@@ -73,7 +74,10 @@ std::string system_log_to_string(const SystemRawLog& capture) {
 
 namespace {
 
-/// The system-capture grammar in the header comment, one record at a time.
+/// The system-capture grammar in the header comment, one record at a time,
+/// held to the ModuleMap header rule per slice: every pid's modules plus
+/// the shared ones, checked as each module record arrives (SYSMODULE and
+/// PROCMODULE may come in either order).
 class SystemDecoder final : public LineDecoder {
  public:
   SystemRawLog take() && { return std::move(out_); }
@@ -86,21 +90,31 @@ class SystemDecoder final : public LineDecoder {
       out_.shared_modules.push_back({hex(fields[1], "address"),
                                      hex(fields[2], "address"),
                                      std::string(fields[3])});
+      const RawModule& m = out_.shared_modules.back();
+      require_ok(shared_.try_add_module({m.name, m.base, m.size}));
+      for (auto& [pid, slice] : slices_) add_to_slice(pid, slice, m);
     } else if (kind == "SYMBOL") {
       require(fields.size() == 3, "SYMBOL expects 2 fields");
       out_.symbols.push_back(
           {hex(fields[1], "address"), std::string(fields[2])});
+      // Every slice carries every symbol, so it must lie in a shared
+      // module (application images carry no symbols).
+      require(shared_.find_module(out_.symbols.back().address) != nullptr,
+              "SYMBOL outside any SYSMODULE");
     } else if (kind == "PROCESSENTRY") {
       require(fields.size() == 3, "PROCESSENTRY expects 2 fields");
-      out_.process_names[dec_u32(fields[1], "pid")] = std::string(fields[2]);
+      const std::uint32_t pid = dec_u32(fields[1], "pid");
+      out_.process_names[pid] = std::string(fields[2]);
+      slices_.try_emplace(pid, shared_);
     } else if (kind == "PROCMODULE") {
       require(fields.size() == 5, "PROCMODULE expects 4 fields");
       const std::uint32_t pid = dec_u32(fields[1], "pid");
-      require(out_.process_names.count(pid) > 0,
-              "PROCMODULE before PROCESSENTRY");
-      out_.process_modules[pid].push_back({hex(fields[2], "address"),
-                                           hex(fields[3], "address"),
-                                           std::string(fields[4])});
+      const auto slice = slices_.find(pid);
+      require(slice != slices_.end(), "PROCMODULE before PROCESSENTRY");
+      std::vector<RawModule>& own = out_.process_modules[pid];
+      own.push_back({hex(fields[2], "address"), hex(fields[3], "address"),
+                     std::string(fields[4])});
+      add_to_slice(pid, slice->second, own.back());
     } else if (kind == "SYSEVENT") {
       require(fields.size() == 5, "SYSEVENT expects 4 fields");
       SystemRawLog::Entry& entry = out_.entries.emplace_back();
@@ -124,7 +138,15 @@ class SystemDecoder final : public LineDecoder {
   std::size_t finish() override { return out_.entries.size(); }
 
  private:
+  static void add_to_slice(std::uint32_t pid, ModuleMap& slice,
+                           const RawModule& m) {
+    const util::Status s = slice.try_add_module({m.name, m.base, m.size});
+    if (!s.ok()) fail(s.message() + " (pid " + std::to_string(pid) + ")");
+  }
+
   SystemRawLog out_;
+  ModuleMap shared_;                            // the SYSMODULEs so far
+  std::map<std::uint32_t, ModuleMap> slices_;  // pid → its slice's modules
 };
 
 }  // namespace

@@ -65,6 +65,13 @@ std::string system_log_to_string(const SystemRawLog& capture);
 /// line-record loop as the single-process text and auditd dialects.
 /// Malformed input, or a pid or tid above 2^32 - 1, yields kCorruptInput
 /// carrying the 1-based line number; it never throws.
+///
+/// The ModuleMap header rule holds per slice, so every slice_process()
+/// result of an accepted capture symbolizes: each pid's PROCMODULEs plus
+/// the SYSMODULEs have nonzero sizes, do not wrap and do not overlap,
+/// whichever of the two records comes first (the later one is rejected,
+/// its message naming the pid). Every slice carries every symbol, so a
+/// SYMBOL must lie inside a SYSMODULE declared before it.
 util::StatusOr<SystemRawLog> parse_system_log(std::istream& is);
 util::StatusOr<SystemRawLog> parse_system_log_string(std::string_view text);
 

@@ -935,7 +935,7 @@ TEST_F(TracerTest, PipelinePrepareEmitsANestedStageTree) {
   for (const char* stage :
        {"pipeline.prepare", "pipeline.preprocess", "pipeline.cfg_infer",
         "pipeline.weight_assess", "pipeline.assemble", "preprocess.fit",
-        "cfg.infer", "cfg.assess_weights", "svm.train"}) {
+        "cfg.infer", "cfg.assess_weights", "svm.gram", "svm.train"}) {
     EXPECT_NE(by_name.find(stage), by_name.end())
         << "missing span " << stage;
   }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -15,11 +16,14 @@
 #include <utility>
 #include <vector>
 
+#include "detector_fixture.h"
 #include "ml/cross_validation.h"
 #include "ml/distance.h"
 #include "ml/hcluster.h"
 #include "ml/kernel.h"
+#include "ml/scaler.h"
 #include "ml/svm.h"
+#include "obs/registry.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -184,6 +188,47 @@ TEST(GramMatrix, BitIdenticalAcrossThreadCounts) {
     }
   }
   EXPECT_EQ(k1(0, 0), 1.0);  // Gaussian diagonal is exact
+}
+
+/// Every row of `a` and `b` holds the same bytes.
+void expect_same_bytes(const ml::GramMatrix& a, const ml::GramMatrix& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::memcmp(a.row(i), b.row(i), a.size() * sizeof(double)), 0)
+        << what << " row " << i;
+  }
+}
+
+TEST(GramMatrix, GatherIsBitIdenticalToDirectBuildOverSubsets) {
+  util::Rng rng(2024);
+  const auto X = random_rows(57, 5, rng);
+  for (const ml::KernelType type :
+       {ml::KernelType::kGaussian, ml::KernelType::kLinear,
+        ml::KernelType::kPolynomial}) {
+    ml::KernelParams kernel;
+    kernel.type = type;
+    kernel.sigma2 = 2.5;
+    const ml::GramMatrix full(X, kernel);
+    for (const double keep : {0.1, 0.5, 0.9, 1.0}) {
+      std::vector<std::size_t> idx;  // ascending, as a CV training split
+      for (std::size_t i = 0; i < X.size(); ++i) {
+        if (rng.next_double() < keep) idx.push_back(i);
+      }
+      std::vector<std::vector<double>> rows;
+      for (const std::size_t i : idx) rows.push_back(X[i]);
+      const std::string what = std::string(ml::kernel_type_name(type)) +
+                               " keep " + std::to_string(keep);
+      expect_same_bytes(ml::GramMatrix(full, idx), ml::GramMatrix(rows, kernel),
+                        what);
+      // Order does not matter either: an entry depends only on its rows.
+      rng.shuffle(idx);
+      rows.clear();
+      for (const std::size_t i : idx) rows.push_back(X[i]);
+      expect_same_bytes(ml::GramMatrix(full, idx), ml::GramMatrix(rows, kernel),
+                        what + " shuffled");
+    }
+  }
 }
 
 // ================== condensed Jaccard vs per-pair Eqn. 1 =================
@@ -367,6 +412,180 @@ TEST(CrossValidation, CrossValidateByteIdenticalAcrossThreadCounts) {
   const double a8 = ml::cross_validate(data, params, 5, r8);
   EXPECT_EQ(a1, a8);
   EXPECT_GT(a1, 0.5);  // the blobs are separable; sanity only
+}
+
+// ====== shared-Gram tuning vs the per-fold-build oracle ==================
+
+/// The grid search as it was before folds shared one Gram matrix per σ²:
+/// every (λ, σ², fold) trains with SvmTrainer::train on its training split,
+/// which builds that split's own Gram matrix. Serial, λ-major trial order,
+/// fold-order reduction — the reference tune_svm must match byte for byte.
+ml::GridSearchResult tune_with_per_fold_grams(const ml::Dataset& data,
+                                 const ml::SvmParams& base,
+                                 const ml::CrossValidationOptions& options,
+                                 util::Rng& rng) {
+  util::Rng fold_rng = rng.fork(0xF01D5);
+  const auto fold_sets = ml::make_folds(data.size(), options.folds, fold_rng);
+  ml::GridSearchResult result;
+  result.best = base;
+  result.best_accuracy = -1.0;
+  for (const double lambda : options.lambdas) {
+    for (const double sigma2 : options.sigma2s) {
+      ml::SvmParams p = base;
+      p.lambda = lambda;
+      p.kernel.sigma2 = sigma2;
+      double acc_sum = 0.0;
+      std::size_t used = 0;
+      for (const std::vector<std::size_t>& test_idx : fold_sets) {
+        if (test_idx.empty()) continue;
+        std::vector<char> in_test(data.size(), 0);
+        for (const std::size_t i : test_idx) in_test[i] = 1;
+        std::vector<std::size_t> train_idx;
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          if (!in_test[i]) train_idx.push_back(i);
+        }
+        const ml::Dataset train = data.subset(train_idx);
+        bool pos = false;
+        bool neg = false;
+        for (std::size_t i = 0; i < train.size(); ++i) {
+          if (train.weight[i] > 0.0) (train.y[i] > 0 ? pos : neg) = true;
+        }
+        if (!pos || !neg) continue;
+        const ml::SvmModel model = ml::SvmTrainer(p).train(train);
+        double correct = 0.0;
+        double total = 0.0;
+        for (const std::size_t i : test_idx) {
+          const double w = options.weighted_validation ? data.weight[i] : 1.0;
+          total += w;
+          if (model.predict(data.X[i]) == data.y[i]) correct += w;
+        }
+        if (total <= 0.0) continue;
+        acc_sum += correct / total;
+        ++used;
+      }
+      const double acc =
+          used == 0 ? 0.0 : acc_sum / static_cast<double>(used);
+      result.trials.push_back({lambda, sigma2, acc});
+      if (acc > result.best_accuracy) {
+        result.best_accuracy = acc;
+        result.best = p;
+      }
+    }
+  }
+  return result;
+}
+
+void expect_same_search(const ml::GridSearchResult& a,
+                        const ml::GridSearchResult& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.best.lambda, b.best.lambda) << what;
+  EXPECT_EQ(a.best.kernel.sigma2, b.best.kernel.sigma2) << what;
+  EXPECT_EQ(a.best_accuracy, b.best_accuracy) << what;
+  ASSERT_EQ(a.trials.size(), b.trials.size()) << what;
+  for (std::size_t i = 0; i < a.trials.size(); ++i) {
+    EXPECT_EQ(a.trials[i].lambda, b.trials[i].lambda) << what << " " << i;
+    EXPECT_EQ(a.trials[i].sigma2, b.trials[i].sigma2) << what << " " << i;
+    EXPECT_EQ(a.trials[i].accuracy, b.trials[i].accuracy) << what << " " << i;
+  }
+}
+
+/// tune_svm at 1 and 8 threads, each against the per-fold-build oracle.
+void expect_tune_matches_oracle(const ml::Dataset& data,
+                                const ml::CrossValidationOptions& options,
+                                const std::string& what) {
+  util::Parallel::set_threads(1);
+  util::Rng oracle_rng(7);
+  const ml::GridSearchResult oracle =
+      tune_with_per_fold_grams(data, {}, options, oracle_rng);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    util::Parallel::set_threads(threads);
+    util::Rng rng(7);
+    expect_same_search(ml::tune_svm(data, {}, options, rng), oracle,
+                       what + " threads " + std::to_string(threads));
+  }
+}
+
+TEST(CrossValidation, SharedGramTuneMatchesPerFoldBuilds) {
+  util::Rng data_rng(31337);
+  const ml::Dataset data = blob_dataset(24, data_rng);
+  ml::CrossValidationOptions options;
+  options.lambdas = {1.0, 10.0, 100.0};
+  options.sigma2s = {0.5, 2.0, 8.0};
+  options.folds = 5;
+  for (const bool weighted : {false, true}) {
+    options.weighted_validation = weighted;
+    expect_tune_matches_oracle(data, options,
+                               weighted ? "weighted" : "plain");
+  }
+}
+
+TEST(CrossValidation, SharedGramTuneMatchesPerFoldBuildsWithOneClassFold) {
+  // A single negative: the fold that holds it out trains on positives only
+  // and is skipped; every other fold still trains.
+  util::Rng data_rng(4711);
+  ml::Dataset data;
+  for (int i = 0; i < 15; ++i) {
+    data.add({data_rng.next_gaussian(), data_rng.next_gaussian()}, +1, 1.0);
+  }
+  data.add({3.0, 3.0}, -1, 0.5);
+  ml::CrossValidationOptions options;
+  options.lambdas = {1.0, 10.0};
+  options.sigma2s = {2.0, 8.0};
+  options.folds = 4;
+  for (const bool weighted : {false, true}) {
+    options.weighted_validation = weighted;
+    expect_tune_matches_oracle(data, options,
+                               weighted ? "weighted" : "plain");
+  }
+}
+
+TEST(CrossValidation, SharedGramTuneMatchesPerFoldBuildsOnPipelineData) {
+  // The set-up path of leaps-train: simulated logs, LeapsPipeline::prepare,
+  // min-max scaling, confidence weights, the default 3 × 3 grid.
+  sim::SimConfig cfg;
+  cfg.benign_events = 800;
+  cfg.mixed_events = 600;
+  cfg.malicious_events = 300;
+  cfg.seed = 3;
+  const sim::ScenarioLogs logs = sim::generate_scenario(
+      sim::find_scenario("vim_reverse_tcp_online"), cfg);
+  const core::TrainingData td =
+      core::LeapsPipeline().prepare(testing::partition_raw(logs.benign),
+                                    testing::partition_raw(logs.mixed));
+  ml::Dataset train = td.benign;
+  train.append(td.mixed);
+  ml::MinMaxScaler scaler;
+  scaler.fit(train.X);
+  scaler.transform_in_place(train);
+  ml::CrossValidationOptions options;
+  options.folds = 5;
+  options.weighted_validation = true;
+  expect_tune_matches_oracle(train, options, "pipeline");
+}
+
+TEST(CrossValidation, TuneSvmBuildsOneGramPerSigma2) {
+  obs::Counter& evals = obs::MetricRegistry::global().counter(
+      "leaps_ml_kernel_evals_total",
+      "kernel evaluations spent building SVM gram matrices");
+  util::Rng data_rng(99);
+  const ml::Dataset data = blob_dataset(15, data_rng);
+  const std::uint64_t n = data.size();
+  const std::uint64_t per_build = n * (n + 1) / 2;
+  ml::CrossValidationOptions options;
+  options.lambdas = {1.0, 10.0};
+  options.sigma2s = {1.0, 2.0, 8.0};
+  options.folds = 5;
+  util::Rng rng(7);
+  std::uint64_t before = evals.value();
+  (void)ml::tune_svm(data, {}, options, rng);
+  // |σ²| full builds; the 2 × 3 × 5 folds gather and evaluate nothing.
+  EXPECT_EQ(evals.value() - before, 3 * per_build);
+
+  ml::SvmParams params;
+  util::Rng cv_rng(7);
+  before = evals.value();
+  (void)ml::cross_validate(data, params, 5, cv_rng);
+  EXPECT_EQ(evals.value() - before, per_build);
 }
 
 // =============== end-to-end: SMO training across threads =================

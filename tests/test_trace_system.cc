@@ -97,6 +97,56 @@ TEST(SystemLog, ParserRejectsMalformedInput) {
          2);
 }
 
+TEST(SystemLog, HeaderRuleHoldsPerSlice) {
+  const auto reject = [](const std::string& text, std::size_t line,
+                         const std::string& what) {
+    const util::StatusOr<SystemRawLog> got = parse_system_log_string(text);
+    ASSERT_FALSE(got.ok()) << text;
+    EXPECT_EQ(got.status().code(), util::StatusCode::kCorruptInput) << text;
+    EXPECT_NE(got.status().message().find("line " + std::to_string(line) +
+                                          ": " + what),
+              std::string::npos)
+        << got.status().message();
+  };
+  const std::string event = "SYSEVENT 5 0 1 FileRead\nSTACK 0x1800\n";
+  // A process image overlapping a shared module used to decode cleanly and
+  // make parse_raw throw on the slice.
+  reject("SYSMODULE 0x1000 0x1000 lib.dll\nPROCESSENTRY 5 a.exe\n"
+         "PROCMODULE 5 0x1800 0x1000 a.exe\n" + event,
+         3, "MODULE overlaps lib.dll: a.exe (pid 5)");
+  // The same capture with the shared module declared last.
+  reject("PROCESSENTRY 5 a.exe\nPROCMODULE 5 0x1800 0x1000 a.exe\n"
+         "SYSMODULE 0x1000 0x1000 lib.dll\n" + event,
+         3, "MODULE overlaps a.exe: lib.dll (pid 5)");
+  // A process declared after the shared module inherits it.
+  reject("SYSMODULE 0x1000 0x1000 lib.dll\nPROCESSENTRY 9 b.exe\n"
+         "PROCESSENTRY 5 a.exe\nPROCMODULE 9 0x4000 0x1000 b.exe\n"
+         "PROCMODULE 5 0x1fff 0x10 a.exe\n" + event,
+         5, "MODULE overlaps lib.dll: a.exe (pid 5)");
+  reject("SYSMODULE 0x1000 0x1000 lib.dll\n"
+         "SYSMODULE 0x1800 0x10 k.sys\n",
+         2, "MODULE overlaps lib.dll: k.sys");
+  reject("PROCESSENTRY 5 a.exe\nPROCMODULE 5 0x1000 0x0 a.exe\n", 2,
+         "MODULE with zero size (pid 5)");
+  reject("PROCESSENTRY 5 a.exe\nPROCMODULE 5 0xffffffffffffff00 0x100 "
+         "a.exe\n",
+         2, "MODULE range wraps past 2^64 (pid 5)");
+  reject("SYSMODULE 0x1000 0x1000 lib.dll\nSYMBOL 0x3000 F\n", 2,
+         "SYMBOL outside any SYSMODULE");
+  reject("SYMBOL 0x1100 F\nSYSMODULE 0x1000 0x1000 lib.dll\n", 1,
+         "SYMBOL outside any SYSMODULE");
+
+  // Separate address spaces: two processes may map images at one base.
+  const util::StatusOr<SystemRawLog> ok = parse_system_log_string(
+      "PROCESSENTRY 5 a.exe\nPROCMODULE 5 0x4000 0x1000 a.exe\n"
+      "PROCESSENTRY 6 b.exe\nPROCMODULE 6 0x4000 0x2000 b.exe\n"
+      "SYSMODULE 0x1000 0x1000 lib.dll\nSYMBOL 0x1100 F\n" + event);
+  ASSERT_TRUE(ok.ok()) << ok.status().message();
+  for (const std::uint32_t pid : capture_pids(ok.value())) {
+    EXPECT_NO_THROW(RawLogParser().parse_raw(slice_process(ok.value(), pid)));
+  }
+}
+
 TEST(SystemLog, GeneratedCaptureSlicesCleanly) {
   sim::SimConfig cfg;
   cfg.benign_events = 1200;
@@ -121,6 +171,11 @@ TEST(SystemLog, GeneratedCaptureSlicesCleanly) {
   for (std::size_t i = 1; i < cap.capture.entries.size(); ++i) {
     EXPECT_EQ(cap.capture.entries[i].event.seq, i);
   }
+  // The generated capture passes the per-slice header rule as text.
+  const util::StatusOr<SystemRawLog> parsed =
+      parse_system_log_string(system_log_to_string(cap.capture));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed.value(), cap.capture);
 }
 
 TEST(SystemLog, SlicedTargetStillSeparatesTruth) {

@@ -49,6 +49,38 @@ run_checked(3 ${LEAPS_SCAN} ${WORK_DIR}/detector.txt
             ${WORK_DIR}/malicious.log)
 run_checked(0 ${LEAPS_SCAN} ${WORK_DIR}/detector.txt ${WORK_DIR}/benign.log)
 
+# --- training is independent of the pool width ------------------------------
+# CV tuning and the final SMO solve give the same detector bytes at
+# --threads 1 and --threads 4. The trace shows the shared-kernel tuning: one
+# svm.gram build per σ² of the default 3 × 3 grid plus one for the final
+# model, beside an svm.train span per fold solve.
+run_checked(0 ${LEAPS_TRAIN} ${WORK_DIR}/benign.log ${WORK_DIR}/mixed.log
+            ${WORK_DIR}/detector_t1.txt --folds 5 --max-false-alarms 0.05
+            --threads 1)
+run_checked(0 ${LEAPS_TRAIN} ${WORK_DIR}/benign.log ${WORK_DIR}/mixed.log
+            ${WORK_DIR}/detector_t4.txt --folds 5 --max-false-alarms 0.05
+            --threads 4 --trace-out ${WORK_DIR}/train_trace.json)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORK_DIR}/detector_t1.txt ${WORK_DIR}/detector_t4.txt
+                RESULT_VARIABLE detectors_differ)
+if(detectors_differ)
+  message(FATAL_ERROR "leaps-train --threads 1 and --threads 4 wrote "
+                      "different detectors")
+endif()
+file(READ ${WORK_DIR}/train_trace.json train_trace)
+string(REGEX MATCHALL "\"name\":\"svm\\.gram\"" gram_spans
+       "${train_trace}")
+list(LENGTH gram_spans gram_count)
+if(NOT gram_count EQUAL 4)
+  message(FATAL_ERROR "leaps-train --trace-out has ${gram_count} svm.gram "
+                      "spans (expected 3 CV builds + 1 final):\n"
+                      "${train_trace}")
+endif()
+string(FIND "${train_trace}" "\"name\":\"svm.train\"" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR "leaps-train --trace-out has no 'svm.train' span")
+endif()
+
 # --- binary-format round (same detector must accept both) ------------------
 file(MAKE_DIRECTORY ${WORK_DIR}/bin)
 run_checked(0 ${LEAPS_SIM} vim_reverse_tcp_online ${WORK_DIR}/bin
